@@ -10,16 +10,21 @@ Kinds:
 * ``r`` -- as ``d`` but the deleted worlds must themselves be bisimilar in
   the pre-deletion models.
 
-The recursive checkers mirror their pseudocode shape: an edge-count (s/g) or
-world-count (d/r) gate runs first, deletion recursion always starts from an
-empty visited list, and modal recursion extends the visited list with the
-current pair and skips candidate pairs already in it.
+Edge and point deletion are one game over two deletion domains.
+``DOMAINS`` maps each deletion kind to its domain, the only place that knows
+what a deletion removes; the checker here, the oracle and the
+characteristic formulas all read it.
+
+The recursive checker mirrors the pseudocode shape: a count gate (edges or
+worlds) runs first, deletion recursion always starts from an empty visited
+list, and modal recursion extends the visited list with the current pair
+and skips candidate pairs already in it.
 
 For ``g`` and ``r`` the endpoint side-checks recurse on the *same* submodels
 with an empty visited list, which as written never terminates on cyclic
 instances (the identity pair on a self-loop immediately re-enters itself).
-The checkers therefore keep a set of configurations currently on the call
-stack and answer yes on re-entry; this is the usual coinductive discharge
+The checker therefore keeps a set of configurations currently on the call
+stack and answers yes on re-entry; this is the usual coinductive discharge
 and is cross-validated against the fixpoint oracle.
 """
 
@@ -27,12 +32,61 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from .model import KripkeModel, PointedModel, delete_edge, delete_point
 
 KINDS = ("modal", "s", "d", "g", "r")
+DELETION_KINDS = ("s", "d", "g", "r")
 EDGE_KINDS = ("s", "g")
 POINT_KINDS = ("d", "r")
+# The matched items' endpoints must themselves be bisimilar.
+GENERALIZED = ("g", "r")
+
+
+class Domain(NamedTuple):
+    """What one deletion removes: an edge, or a world other than the current one.
+
+    ``every(m)`` are all items of ``m``; ``items(m, w, prop)`` lists those
+    deletable at current world ``w``, only those whose target world
+    satisfies ``prop`` when it is given.  ``keep`` items always remain (no
+    edge, one world).  ``pairs(i1, i2)`` are the world pairs formed by the
+    endpoints of two matched items, which the generalized kinds require
+    bisimilar; ``show(item)`` is an item's witness form.
+    ``seq`` names the domain as a :class:`DeletionSequence` kind.
+    """
+
+    seq: str
+    keep: int
+    every: Callable
+    items: Callable
+    pairs: Callable
+    show: Callable
+
+
+def _edges(m: KripkeModel, w, prop):
+    if prop is None:
+        return m.edges
+    return [e for e in m.edges if m.true_at(prop, e[1])]
+
+
+def _worlds(m: KripkeModel, w, prop):
+    return [u for u in m.worlds
+            if u != w and (prop is None or m.true_at(prop, u))]
+
+
+def _same(x):
+    return x
+
+
+def _world_pair(u1, u2):
+    return ((u1, u2),)
+
+
+EDGE = Domain("edge", 0, attrgetter("edges"), _edges, zip, list)
+POINT = Domain("world", 1, attrgetter("worlds"), _worlds, _world_pair, _same)
+DOMAINS = {"s": EDGE, "d": POINT, "g": EDGE, "r": POINT}
 
 
 @dataclass(frozen=True)
@@ -78,15 +132,22 @@ class _Checker:
     """One bisimilarity run; holds kind, stats, and the recursion context."""
 
     def __init__(self, kind, use_cache=False, edge_prop=None, world_prop=None):
-        if kind not in ("s", "d", "g", "r"):
+        if kind not in DOMAINS:
             raise ValueError(f"unknown recursive checker kind {kind!r}")
-        self.kind = kind
+        domain = DOMAINS[kind]
+        self.every = domain.every
+        self.items = domain.items
+        self.show = domain.show
+        self.pairs = domain.pairs if kind in GENERALIZED else None
+        # Resolved per run rather than stored in the table, so that
+        # instrumentation replacing the module-level names sees every call.
+        self.delete = delete_edge if domain is EDGE else delete_point
+        self.prop = edge_prop if domain is EDGE else world_prop
+        self.count_condition = f"{domain.seq}-count"
         self.stats = _Stats()
         self.memo = {} if use_cache else None
-        self.track_active = kind in ("g", "r")
+        self.track_active = kind in GENERALIZED
         self.active: set = set()
-        self.edge_prop = edge_prop
-        self.world_prop = world_prop
         self.props: list[str] = []
 
     def run(self, a: PointedModel, b: PointedModel) -> Verdict:
@@ -98,29 +159,6 @@ class _Checker:
         ok, wit, _ = self._rec(a.model, a.point, b.model, b.point,
                                frozenset(), 0, ())
         return Verdict(ok, self.stats.max_depth, self.stats.calls, wit)
-
-    # -- deletion domains ---------------------------------------------------
-
-    def _edges(self, m: KripkeModel):
-        if self.edge_prop is None:
-            return m.edges
-        return tuple(e for e in m.edges if m.true_at(self.edge_prop, e[1]))
-
-    def _deletable(self, m: KripkeModel, w: str):
-        if self.world_prop is None:
-            return tuple(u for u in m.worlds if u != w)
-        return tuple(
-            u for u in m.worlds if u != w and m.true_at(self.world_prop, u)
-        )
-
-    def _gate(self, m: KripkeModel, w: str) -> int:
-        if self.kind in EDGE_KINDS:
-            return len(self._edges(m))
-        if self.world_prop is None:
-            return len(m.worlds)
-        return len(self._deletable(m, w))
-
-    # -- the recursive check ------------------------------------------------
 
     def _rec(self, m1, w1, m2, w2, visited, depth, path):
         self.stats.calls += 1
@@ -147,154 +185,95 @@ class _Checker:
         return ok, wit, used
 
     def _body(self, m1, w1, m2, w2, visited, depth, path):
-        used: set = set()
-
-        n1, n2 = self._gate(m1, w1), self._gate(m2, w2)
+        # Unrestricted, the count gate compares whole models; restricted, it
+        # compares deletable items, which never include the current world.
+        if self.prop is None:
+            n1, n2 = len(self.every(m1)), len(self.every(m2))
+        else:
+            n1 = len(self.items(m1, w1, self.prop))
+            n2 = len(self.items(m2, w2, self.prop))
         if n1 != n2:
-            cond = "edge-count" if self.kind in EDGE_KINDS else "world-count"
-            return False, {"condition": cond, "left": n1, "right": n2,
-                           "at": [w1, w2], "path": list(path)}, used
+            return False, {"condition": self.count_condition, "left": n1,
+                           "right": n2, "at": [w1, w2],
+                           "path": list(path)}, set()
 
         bad = _atom_mismatch(m1, w1, m2, w2, self.props)
         if bad is not None:
             return False, {"condition": "atom", "prop": bad,
-                           "at": [w1, w2], "path": list(path)}, used
+                           "at": [w1, w2], "path": list(path)}, set()
 
-        if self.kind in EDGE_KINDS:
-            zigzag = self._edge_zigzag
-        else:
-            zigzag = self._point_zigzag
+        ok, wit, used = self._zigzag(m1, w1, m2, w2,
+                                     self.items(m1, w1, self.prop),
+                                     self.items(m2, w2, self.prop), None,
+                                     depth, path)
+        if ok and (w1, w2) not in visited:
+            ok, wit, u = self._zigzag(m1, w1, m2, w2, m1.successors(w1),
+                                      m2.successors(w2), visited | {(w1, w2)},
+                                      depth, path)
+            used |= u
+        return ok, wit, used
+
+    def _zigzag(self, m1, w1, m2, w2, cands1, cands2, grown, depth, path):
+        """Zig then zag: every candidate on one side is matched on the other.
+
+        The candidates are deletable items when ``grown`` is None, else the
+        successors of the current worlds, moved to with the grown visited
+        list.
+        """
+        used: set = set()
         for forward in (True, False):
-            ok, wit, u = zigzag(m1, w1, m2, w2, depth, path, forward)
-            used |= u
-            if not ok:
-                return False, wit, used
+            outer, inner = (cands1, cands2) if forward else (cands2, cands1)
+            for c_out in outer:
+                first_cause = None
+                for c_in in inner:
+                    c1, c2 = (c_out, c_in) if forward else (c_in, c_out)
+                    if grown is None:
+                        ok, cause, u = self._match(m1, w1, m2, w2, c1, c2,
+                                                   depth, path)
+                    elif (c1, c2) in grown:
+                        # Membership is tested against the grown list: a
+                        # candidate equal to the current pair would only
+                        # re-verify the deletion conditions this call just
+                        # established and then skip its own modal section,
+                        # so skipping it here returns the same answer
+                        # without the redundant descent.
+                        break
+                    else:
+                        step = path + (["move", c1, c2],)
+                        ok, cause, u = self._rec(m1, c1, m2, c2, grown,
+                                                 depth + 1, step)
+                    used |= u
+                    if ok:
+                        break
+                    if first_cause is None:
+                        first_cause = cause
+                else:
+                    side = "zig" if forward else "zag"
+                    if grown is None:
+                        cond, item = f"{side}-del", self.show(c_out)
+                    else:
+                        cond, item = f"{side}-dia", c_out
+                    return False, {"condition": cond, "item": item,
+                                   "at": [w1, w2], "path": list(path),
+                                   "cause": first_cause}, used
+        return True, None, used
 
-        if (w1, w2) not in visited:
-            grown = visited | {(w1, w2)}
-            for forward in (True, False):
-                ok, wit, u = self._modal_zigzag(
-                    m1, w1, m2, w2, grown, depth, path, forward
-                )
+    def _match(self, m1, w1, m2, w2, i1, i2, depth, path):
+        """Delete ``i1`` and ``i2`` after the generalized endpoint checks."""
+        used: set = set()
+        if self.pairs is not None:
+            for u1, u2 in self.pairs(i1, i2):
+                step = path + (["endpoint", u1, u2],)
+                ok, wit, u = self._rec(m1, u1, m2, u2, frozenset(),
+                                       depth + 1, step)
                 used |= u
                 if not ok:
                     return False, wit, used
-
-        return True, None, used
-
-    def _edge_zigzag(self, m1, w1, m2, w2, depth, path, forward):
-        used: set = set()
-        outer, inner = (m1, m2) if forward else (m2, m1)
-        for e_out in self._edges(outer):
-            first_cause = None
-            found = False
-            for e_in in self._edges(inner):
-                e1, e2 = (e_out, e_in) if forward else (e_in, e_out)
-                ok, cause, u = self._match_edges(m1, w1, m2, w2, e1, e2,
-                                                 depth, path)
-                used |= u
-                if ok:
-                    found = True
-                    break
-                if first_cause is None:
-                    first_cause = cause
-            if not found:
-                cond = "zig-del" if forward else "zag-del"
-                return False, {"condition": cond, "item": list(e_out),
-                               "at": [w1, w2], "path": list(path),
-                               "cause": first_cause}, used
-        return True, None, used
-
-    def _match_edges(self, m1, w1, m2, w2, e1, e2, depth, path):
-        used: set = set()
-        if self.kind == "g":
-            for i in (0, 1):
-                step = path + (["endpoint", e1[i], e2[i]],)
-                ok, wit, u = self._rec(m1, e1[i], m2, e2[i],
-                                       frozenset(), depth + 1, step)
-                used |= u
-                if not ok:
-                    return False, wit, used
-        step = path + (["del", list(e1), list(e2)],)
-        ok, wit, u = self._rec(delete_edge(m1, e1), w1, delete_edge(m2, e2),
+        step = path + (["del", self.show(i1), self.show(i2)],)
+        ok, wit, u = self._rec(self.delete(m1, i1), w1, self.delete(m2, i2),
                                w2, frozenset(), depth + 1, step)
         used |= u
         return ok, wit, used
-
-    def _point_zigzag(self, m1, w1, m2, w2, depth, path, forward):
-        used: set = set()
-        if forward:
-            cand_out, cand_in = self._deletable(m1, w1), self._deletable(m2, w2)
-        else:
-            cand_out, cand_in = self._deletable(m2, w2), self._deletable(m1, w1)
-        for u_out in cand_out:
-            first_cause = None
-            found = False
-            for u_in in cand_in:
-                u1, u2 = (u_out, u_in) if forward else (u_in, u_out)
-                ok, cause, u = self._match_points(m1, w1, m2, w2, u1, u2,
-                                                  depth, path)
-                used |= u
-                if ok:
-                    found = True
-                    break
-                if first_cause is None:
-                    first_cause = cause
-            if not found:
-                cond = "zig-del" if forward else "zag-del"
-                return False, {"condition": cond, "item": u_out,
-                               "at": [w1, w2], "path": list(path),
-                               "cause": first_cause}, used
-        return True, None, used
-
-    def _match_points(self, m1, w1, m2, w2, u1, u2, depth, path):
-        used: set = set()
-        if self.kind == "r":
-            step = path + (["endpoint", u1, u2],)
-            ok, wit, u = self._rec(m1, u1, m2, u2, frozenset(), depth + 1, step)
-            used |= u
-            if not ok:
-                return False, wit, used
-        step = path + (["del", u1, u2],)
-        ok, wit, u = self._rec(delete_point(m1, u1), w1, delete_point(m2, u2),
-                               w2, frozenset(), depth + 1, step)
-        used |= u
-        return ok, wit, used
-
-    def _modal_zigzag(self, m1, w1, m2, w2, grown, depth, path, forward):
-        used: set = set()
-        if forward:
-            succ_out, succ_in = m1.successors(w1), m2.successors(w2)
-        else:
-            succ_out, succ_in = m2.successors(w2), m1.successors(w1)
-        for u_out in succ_out:
-            first_cause = None
-            found = False
-            for u_in in succ_in:
-                u1, u2 = (u_out, u_in) if forward else (u_in, u_out)
-                # Membership is tested against the grown list: a candidate
-                # equal to the current pair would only re-verify the deletion
-                # conditions this call just established and then skip its own
-                # modal section, so skipping it here returns the same answer
-                # without the redundant descent.
-                if (u1, u2) in grown:
-                    found = True
-                    break
-                step = path + (["move", u1, u2],)
-                ok, cause, u = self._rec(m1, u1, m2, u2, grown,
-                                         depth + 1, step)
-                used |= u
-                if ok:
-                    found = True
-                    break
-                if first_cause is None:
-                    first_cause = cause
-            if not found:
-                cond = "zig-dia" if forward else "zag-dia"
-                return False, {"condition": cond, "item": u_out,
-                               "at": [w1, w2], "path": list(path),
-                               "cause": first_cause}, used
-        return True, None, used
 
 
 def s_bisimilar(a: PointedModel, b: PointedModel, use_cache=False) -> Verdict:
@@ -363,22 +342,14 @@ def _modal_violation(m1, x, m2, y, live, reasons):
     return None
 
 
-_CHECKERS = {
-    "s": s_bisimilar,
-    "d": d_bisimilar,
-    "g": g_bisimilar,
-    "r": r_bisimilar,
-}
-
-
 def check(kind: str, a: PointedModel, b: PointedModel,
           use_cache=False) -> Verdict:
     """Dispatch on the bisimilarity notion."""
     if kind == "modal":
         return modal_bisimilar(a, b)
-    if kind not in _CHECKERS:
+    if kind not in DOMAINS:
         raise ValueError(f"unknown bisimilarity kind {kind!r}")
-    return _CHECKERS[kind](a, b, use_cache=use_cache)
+    return _Checker(kind, use_cache).run(a, b)
 
 
 def filtered_check(kind: str, a: PointedModel, b: PointedModel, *,

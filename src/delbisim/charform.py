@@ -7,6 +7,11 @@ formula for a deletion kind then adds, per deletion-sequence length, an
 existential clause for every sequence of pairwise-distinct items and a
 universal clause, closing with a clause forbidding one deletion too many.
 
+The four deletion kinds differ only in their deletion domain
+(``bisim.DOMAINS``: which items a sequence deletes and how many must remain)
+and in their pair of deletion modalities (``_MODALITIES``); one
+``_chain`` function nests the modalities for all of them.
+
 Sub-formulas for a given deleted item set are shared, so the result is a
 DAG; printing it materializes the tree and can be large.
 """
@@ -16,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .bisim import EDGE_KINDS, POINT_KINDS, check
+from .bisim import DOMAINS, EDGE_KINDS, POINT_KINDS, check
 from .formula import (
     And,
     Atom,
@@ -44,7 +49,7 @@ from .model import (
     PointedModel,
     SizeGuardError,
 )
-from .oracle import DEFAULT_MAX_EDGES, DEFAULT_MAX_WORLDS
+from .oracle import DEFAULT_MAX_EDGES, DEFAULT_MAX_WORLDS, guard_size
 from .semantics import evaluate
 
 FRESH_PREFIX = "@"
@@ -91,9 +96,20 @@ def build_E(m: KripkeModel) -> Formula:
     return big_and(conjuncts)
 
 
-def _nest(wrap, k: int, body: Formula) -> Formula:
-    for _ in range(k):
-        body = wrap(body)
+# kind -> (existential, universal, guards): the generalized modalities guard
+# a deletion with one formula per endpoint of the deleted item.
+_MODALITIES = {
+    "s": (Sab, SabBox, 0),
+    "g": (GSab, GSabBox, 2),
+    "d": (Rem, RemBox, 0),
+    "r": (GRem, GRemBox, 1),
+}
+
+
+def _chain(op, guards, seq, body: Formula) -> Formula:
+    """``op`` once per item of ``seq``, the first item outermost."""
+    for item in reversed(seq):
+        body = op(*guards(item), body)
     return body
 
 
@@ -117,74 +133,41 @@ def _char_layers(kind: str, m: KripkeModel):
     reached by a sequence depends only on the item set, so its description
     formula is built once and shared.
     """
-    if kind in EDGE_KINDS:
-        items = m.edges
-        seq_kind = "edge"
-        n = len(items)
-        pair_lengths = range(1, n + 1)
-        last_len = n + 1
-    else:
-        items = m.worlds
-        seq_kind = "world"
-        n = len(items)
-        pair_lengths = range(1, n)
-        last_len = n
+    domain = DOMAINS[kind]
+    existential_op, universal_op, guards = _MODALITIES[kind]
+    items = domain.every(m)
+    last_len = len(items) - domain.keep + 1
     e_cache: dict[frozenset, Formula] = {}
 
     def e_of(deleted: tuple) -> Formula:
         key = frozenset(deleted)
         if key not in e_cache:
-            e_cache[key] = build_E(DeletionSequence(seq_kind, deleted).apply(m))
+            e_cache[key] = build_E(DeletionSequence(domain.seq, deleted).apply(m))
         return e_cache[key]
 
-    def ex_chain(seq, body):
-        if kind == "s":
-            return _nest(Sab, len(seq), body)
-        if kind == "d":
-            return _nest(Rem, len(seq), body)
-        if kind == "g":
-            for u, v in reversed(seq):
-                body = GSab(Atom(fresh_atom(u)), Atom(fresh_atom(v)), body)
-            return body
-        for u in reversed(seq):
-            body = GRem(Atom(fresh_atom(u)), body)
-        return body
+    def tags(item) -> list[Formula]:
+        if not guards:
+            return []
+        # an item's endpoints are the left sides of its pairs with itself
+        return [Atom(fresh_atom(x)) for x, _ in domain.pairs(item, item)]
 
-    def univ_chain(seq, body):
-        if kind == "s":
-            return _nest(SabBox, len(seq), body)
-        if kind == "d":
-            return _nest(RemBox, len(seq), body)
-        if kind == "g":
-            for u, v in reversed(seq):
-                body = GSabBox(Atom(fresh_atom(u)), Atom(fresh_atom(v)), body)
-            return body
-        for u in reversed(seq):
-            body = GRemBox(Atom(fresh_atom(u)), body)
-        return body
+    def anything(_) -> list[Formula]:
+        return [Top() for _ in range(guards)]
 
     layers = []
-    for k in pair_lengths:
+    for k in range(1, last_len):
         seqs = list(permutations(items, k))
-        existential = [ex_chain(seq, e_of(seq)) for seq in seqs]
+        existential = [_chain(existential_op, tags, seq, e_of(seq)) for seq in seqs]
         disjunction = big_or([e_of(seq) for seq in seqs])
-        if kind in ("s", "d"):
-            universal = [univ_chain(seqs[0], disjunction)]
-        else:
+        if guards:
             # Guarded universal chains mention the sequence's own tags, so
             # one clause is needed per sequence.
-            universal = [univ_chain(seq, disjunction) for seq in seqs]
+            universal = [_chain(universal_op, tags, seq, disjunction) for seq in seqs]
+        else:
+            universal = [_chain(universal_op, tags, seqs[0], disjunction)]
         layers.append((existential, universal))
 
-    if kind == "s":
-        last = Not(_nest(Sab, last_len, Top()))
-    elif kind == "g":
-        last = Not(_nest(lambda f: GSab(Top(), Top(), f), last_len, Top()))
-    elif kind == "d":
-        last = Not(_nest(Rem, last_len, Top()))
-    else:
-        last = Not(_nest(lambda f: GRem(Top(), f), last_len, Top()))
-
+    last = Not(_chain(existential_op, anything, range(last_len), Top()))
     return e_of(()), layers, last
 
 
@@ -226,12 +209,7 @@ def canonical_expansion(
     Initial-language propositions of ``m`` that ``n`` does not declare are
     declared false everywhere, mirroring the checkers' atom convention.
     """
-    for pm in (m, n):
-        if len(pm.model.worlds) > max_worlds or len(pm.model.edges) > max_edges:
-            raise SizeGuardError(
-                f"expansion guard exceeded: |W|={len(pm.model.worlds)} "
-                f"|R|={len(pm.model.edges)} (limits {max_worlds}/{max_edges})"
-            )
+    guard_size("expansion", (m, n), max_worlds, max_edges)
     fresh = {fresh_atom(x) for x in m.model.worlds}
     declared = set(m.model.propositions) | set(n.model.propositions)
     clash = sorted(fresh & declared)
@@ -278,9 +256,8 @@ def char_check(
     """
     _guard_check(kind, m.model, edge_guard, world_guard)
     _guard_check(kind, n.model, edge_guard, world_guard)
-    if kind in EDGE_KINDS and len(m.model.edges) != len(n.model.edges):
-        return False
-    if kind in POINT_KINDS and len(m.model.worlds) != len(n.model.worlds):
+    every = DOMAINS[kind].every
+    if len(every(m.model)) != len(every(n.model)):
         return False
     char = build_char(kind, m.model, edge_guard, world_guard)
     expansion = canonical_expansion(kind, m, n, max_worlds, max_edges)

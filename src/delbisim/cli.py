@@ -2,7 +2,7 @@
 
 Structured output is line-oriented JSON on stdout; errors go to stderr.
 Exit codes: 0 bisimilar/true, 1 not bisimilar/false, 2 usage or validation
-error, 3 size guard exceeded.
+error or any unexpected error, 3 size guard exceeded.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .bisim import KINDS, check, random_model
+from .bisim import DELETION_KINDS, KINDS, check, random_model
 from .charform import build_char, char_check
 from .formula import ParseError, format_formula, parse_formula
 from .model import ModelError, PointedModel, SizeGuardError, load_model, save_model
@@ -104,7 +104,7 @@ def _cmd_random(args) -> int:
 def _cmd_sweep(args) -> int:
     kinds = args.kinds.split(",")
     for kind in kinds:
-        if kind not in ("s", "d", "g", "r"):
+        if kind not in DELETION_KINDS:
             raise ModelError(f"sweep: unknown kind {kind!r}")
     props = tuple(args.props.split(","))
     mismatches = 0
@@ -168,12 +168,12 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("charform", help="print a characteristic formula")
-    p.add_argument("--kind", choices=("s", "d", "g", "r"), required=True)
+    p.add_argument("--kind", choices=DELETION_KINDS, required=True)
     p.add_argument("model")
     p.set_defaults(run=_cmd_charform)
 
     p = sub.add_parser("charcheck", help="characteristic-formula bisimilarity check")
-    p.add_argument("--kind", choices=("s", "d", "g", "r"), required=True)
+    p.add_argument("--kind", choices=DELETION_KINDS, required=True)
     p.add_argument("model_a")
     p.add_argument("model_b")
     p.set_defaults(run=_cmd_charcheck)
@@ -223,6 +223,11 @@ def main(argv=None) -> int:
         return EXIT_GUARD
     except (ModelError, ParseError, UndeclaredAtomError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        # A crash (RecursionError, MemoryError, a bug) is not a verdict:
+        # never let it reach exit 1, which means "not bisimilar".
+        print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -1,27 +1,43 @@
 """Brute-force greatest-fixpoint oracle over configuration space.
 
-A configuration is a submodel reachable by deletions (an edge subset for
-the edge-deletion kinds, a world subset for the point-deletion kinds)
-together with a current world.  The oracle computes, for every pair of
-submodels reachable with the same number of deletions on both sides, the
-largest relation on world pairs closed under the kind's conditions:
-atom agreement, modal zig/zag, deletion zig/zag, and (for the generalized
-kinds) the endpoint conditions evaluated at the pre-deletion submodels.
+A configuration is a submodel reachable by deletions from the kind's
+deletion domain (``bisim.DOMAINS``: edges for ``s``/``g``, worlds for
+``d``/``r``) together with a current world.  The oracle computes, for every
+pair of submodels reachable with the same number of deletions on both
+sides, the largest relation on world pairs closed under the kind's
+conditions: atom agreement, modal zig/zag, deletion zig/zag, and (for the
+generalized kinds) the endpoint conditions evaluated at the pre-deletion
+submodels.
 
-Deletion clauses only reference smaller submodels, so levels are computed
-bottom-up; within a level the operator is monotone and iterated to a
-fixpoint.  The answer is membership of the initial configuration pair.
+Deletion clauses only reference submodels one deletion further on, so
+levels are computed from the most deletions down; within a level the
+operator is monotone and iterated to a fixpoint.  ``modal`` deletes
+nothing, so its relation is the zero-deletion level alone.  The answer is
+membership of the initial configuration pair.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .bisim import Verdict, _atom_mismatch
+from .bisim import DOMAINS, GENERALIZED, KINDS, Domain, Verdict, _atom_mismatch
 from .model import PointedModel, SizeGuardError
 
 DEFAULT_MAX_WORLDS = 5
 DEFAULT_MAX_EDGES = 6
+
+# modal bisimilarity: nothing is deletable, so only level zero exists
+_NO_DELETION = Domain(None, 0, lambda m: (), None, None, None)
+
+
+def guard_size(what: str, pms, max_worlds: int, max_edges: int) -> None:
+    """Raise SizeGuardError when a pointed model has too many worlds or edges."""
+    for pm in pms:
+        if len(pm.model.worlds) > max_worlds or len(pm.model.edges) > max_edges:
+            raise SizeGuardError(
+                f"{what} guard exceeded: |W|={len(pm.model.worlds)} "
+                f"|R|={len(pm.model.edges)} (limits {max_worlds}/{max_edges})"
+            )
 
 
 def oracle_bisimilar(
@@ -31,49 +47,69 @@ def oracle_bisimilar(
     max_worlds: int = DEFAULT_MAX_WORLDS,
     max_edges: int = DEFAULT_MAX_EDGES,
 ) -> Verdict:
-    for pm in (a, b):
-        if len(pm.model.worlds) > max_worlds or len(pm.model.edges) > max_edges:
-            raise SizeGuardError(
-                f"oracle guard exceeded: |W|={len(pm.model.worlds)} "
-                f"|R|={len(pm.model.edges)} (limits {max_worlds}/{max_edges})"
-            )
-    if kind == "modal":
-        return _modal_fixpoint(a, b)
-    if kind in ("s", "g"):
-        return _edge_fixpoint(kind, a, b)
-    if kind in ("d", "r"):
-        return _point_fixpoint(kind, a, b)
-    raise ValueError(f"unknown bisimilarity kind {kind!r}")
-
-
-def _atom_table(m1, m2):
+    guard_size("oracle", (a, b), max_worlds, max_edges)
+    if kind not in KINDS:
+        raise ValueError(f"unknown bisimilarity kind {kind!r}")
+    domain = DOMAINS.get(kind, _NO_DELETION)
+    pairs = domain.pairs if kind in GENERALIZED else None
+    m1, m2 = a.model, b.model
     props = sorted(set(m1.propositions) | set(m2.propositions))
-    return {
+    atoms_ok = {
         (x, y): _atom_mismatch(m1, x, m2, y, props) is None
         for x in m1.worlds
         for y in m2.worlds
     }
-
-
-def _modal_fixpoint(a: PointedModel, b: PointedModel) -> Verdict:
-    m1, m2 = a.model, b.model
-    atoms_ok = _atom_table(m1, m2)
-    live = {pair for pair, ok in atoms_ok.items() if ok}
-    checks = len(atoms_ok)
-    succ1 = {x: m1.successors(x) for x in m1.worlds}
-    succ2 = {y: m2.successors(y) for y in m2.worlds}
-    changed = True
-    while changed:
-        changed = False
-        for x, y in sorted(live):
-            checks += 1
-            if not _modal_ok(x, y, succ1[x], succ2[y], live):
-                live.discard((x, y))
+    items1, items2 = domain.every(m1), domain.every(m2)
+    levels = min(len(items1), len(items2)) - domain.keep
+    subs1 = _submodels(m1, items1, levels)
+    subs2 = _submodels(m2, items2, levels)
+    checks = 0
+    table: dict[tuple[frozenset, frozenset], set] = {}
+    for level in range(levels, -1, -1):
+        for gone1, at1, after1 in subs1[level]:
+            for gone2, at2, after2 in subs2[level]:
+                live = {(x, y) for x in at1 for y in at2 if atoms_ok[(x, y)]}
                 changed = True
-    return Verdict((a.point, b.point) in live, 0, checks, None)
+                while changed:
+                    changed = False
+                    for x, y in sorted(live):
+                        checks += 1
+                        (succ1, del1), (succ2, del2) = at1[x], at2[y]
+                        ok = _modal_ok(succ1, succ2, live) and _del_ok(
+                            pairs, x, y, del1, del2, after1, after2, live, table
+                        )
+                        if not ok:
+                            live.discard((x, y))
+                            changed = True
+                table[(gone1, gone2)] = live
+    full = table[(frozenset(), frozenset())]
+    return Verdict((a.point, b.point) in full, 0, checks, None)
 
 
-def _modal_ok(x, y, succ_x, succ_y, live):
+def _submodels(m, items, levels):
+    """Per deletion count up to ``levels``: each submodel as its deleted set,
+    per world the world's successors and the items deletable there, and per
+    remaining item the deleted set after deleting it too.
+
+    Deleting a world also deletes its edges, and the current world is never
+    deletable; an edge never equals a world, so this serves both domains.
+    """
+    out = []
+    for count in range(levels + 1):
+        row = []
+        for gone in map(frozenset, combinations(items, count)):
+            succ = {w: [] for w in m.worlds if w not in gone}
+            for u, v in m.edges:
+                if u in succ and v in succ and (u, v) not in gone:
+                    succ[u].append(v)
+            left = [i for i in items if i not in gone]
+            at = {w: (vs, [i for i in left if i != w]) for w, vs in succ.items()}
+            row.append((gone, at, {i: gone | {i} for i in left}))
+        out.append(row)
+    return out
+
+
+def _modal_ok(succ_x, succ_y, live):
     for u in succ_x:
         if not any((u, v) in live for v in succ_y):
             return False
@@ -83,138 +119,18 @@ def _modal_ok(x, y, succ_x, succ_y, live):
     return True
 
 
-def _edge_fixpoint(kind: str, a: PointedModel, b: PointedModel) -> Verdict:
-    m1, m2 = a.model, b.model
-    atoms_ok = _atom_table(m1, m2)
-    pairs = [(x, y) for x in m1.worlds for y in m2.worlds]
-    checks = 0
-    table: dict[tuple[frozenset, frozenset], set] = {}
-    n1, n2 = len(m1.edges), len(m2.edges)
-    succ_of = {}
-    for m in (m1, m2):
-        for size in range(len(m.edges) + 1):
-            for s in combinations(m.edges, size):
-                succ_of[(id(m), frozenset(s))] = _subgraph_succ(m.worlds, s)
-    # Levels share a deletion count; the smallest submodels come first.
-    for deleted in range(min(n1, n2), -1, -1):
-        for s1 in combinations(m1.edges, n1 - deleted):
-            succ1 = succ_of[(id(m1), frozenset(s1))]
-            for s2 in combinations(m2.edges, n2 - deleted):
-                succ2 = succ_of[(id(m2), frozenset(s2))]
-                live = {p for p in pairs if atoms_ok[p]}
-                fs1, fs2 = frozenset(s1), frozenset(s2)
-                changed = True
-                while changed:
-                    changed = False
-                    for x, y in sorted(live):
-                        checks += 1
-                        ok = _modal_ok(x, y, succ1[x], succ2[y], live) and _edge_del_ok(
-                            kind, x, y, s1, s2, fs1, fs2, live, table
-                        )
-                        if not ok:
-                            live.discard((x, y))
-                            changed = True
-                table[(fs1, fs2)] = live
-    full = table[(frozenset(m1.edges), frozenset(m2.edges))]
-    return Verdict((a.point, b.point) in full, 0, checks, None)
+def _del_ok(pairs, x, y, del1, del2, after1, after2, live, table):
+    """Deletion zig/zag at (x, y): each deletable item has a partner."""
 
+    def match(i1, i2):
+        return (
+            pairs is None or live.issuperset(pairs(i1, i2))
+        ) and (x, y) in table[(after1[i1], after2[i2])]
 
-def _edge_del_ok(kind, x, y, s1, s2, fs1, fs2, live, table):
-    for e1 in s1:
-        if not any(
-            _edge_match(kind, e1, e2, live)
-            and (x, y) in table[(fs1 - {e1}, fs2 - {e2})]
-            for e2 in s2
-        ):
+    for i1 in del1:
+        if not any(match(i1, i2) for i2 in del2):
             return False
-    for e2 in s2:
-        if not any(
-            _edge_match(kind, e1, e2, live)
-            and (x, y) in table[(fs1 - {e1}, fs2 - {e2})]
-            for e1 in s1
-        ):
+    for i2 in del2:
+        if not any(match(i1, i2) for i1 in del1):
             return False
     return True
-
-
-def _edge_match(kind, e1, e2, live):
-    if kind != "g":
-        return True
-    return (e1[0], e2[0]) in live and (e1[1], e2[1]) in live
-
-
-def _subgraph_succ(worlds, edges):
-    succ = {w: [] for w in worlds}
-    for u, v in edges:
-        succ[u].append(v)
-    return {w: tuple(vs) for w, vs in succ.items()}
-
-
-def _point_fixpoint(kind: str, a: PointedModel, b: PointedModel) -> Verdict:
-    m1, m2 = a.model, b.model
-    atoms_ok = _atom_table(m1, m2)
-    checks = 0
-    table: dict[tuple[frozenset, frozenset], set] = {}
-    n1, n2 = len(m1.worlds), len(m2.worlds)
-    # Both sides always keep at least one world.
-    succ_of = {}
-    for m in (m1, m2):
-        for size in range(1, len(m.worlds) + 1):
-            for t in combinations(m.worlds, size):
-                succ_of[(id(m), frozenset(t))] = _induced_succ(m, t)
-    for deleted in range(min(n1, n2) - 1, -1, -1):
-        for t1 in combinations(m1.worlds, n1 - deleted):
-            succ1 = succ_of[(id(m1), frozenset(t1))]
-            for t2 in combinations(m2.worlds, n2 - deleted):
-                succ2 = succ_of[(id(m2), frozenset(t2))]
-                live = {
-                    (x, y) for x in t1 for y in t2 if atoms_ok[(x, y)]
-                }
-                fs1, fs2 = frozenset(t1), frozenset(t2)
-                changed = True
-                while changed:
-                    changed = False
-                    for x, y in sorted(live):
-                        checks += 1
-                        ok = _modal_ok(x, y, succ1[x], succ2[y], live) and _point_del_ok(
-                            kind, x, y, t1, t2, fs1, fs2, live, table
-                        )
-                        if not ok:
-                            live.discard((x, y))
-                            changed = True
-                table[(fs1, fs2)] = live
-    full = table[(frozenset(m1.worlds), frozenset(m2.worlds))]
-    return Verdict((a.point, b.point) in full, 0, checks, None)
-
-
-def _point_del_ok(kind, x, y, t1, t2, fs1, fs2, live, table):
-    for u1 in t1:
-        if u1 == x:
-            continue
-        if not any(
-            u2 != y
-            and (kind != "r" or (u1, u2) in live)
-            and (x, y) in table[(fs1 - {u1}, fs2 - {u2})]
-            for u2 in t2
-        ):
-            return False
-    for u2 in t2:
-        if u2 == y:
-            continue
-        if not any(
-            u1 != x
-            and (kind != "r" or (u1, u2) in live)
-            and (x, y) in table[(fs1 - {u1}, fs2 - {u2})]
-            for u1 in t1
-        ):
-            return False
-    return True
-
-
-def _induced_succ(m, kept):
-    keep = set(kept)
-    succ = {w: [] for w in kept}
-    for u, v in m.edges:
-        if u in keep and v in keep:
-            succ[u].append(v)
-    return {w: tuple(vs) for w, vs in succ.items()}

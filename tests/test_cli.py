@@ -175,3 +175,18 @@ def test_translate_report_runs(capsys):
     code, out, _ = run(capsys, "translate-report", "--seed", "5", "--count", "4")
     assert code == 0
     assert "Translation correspondence report" in out
+
+
+def test_crash_is_exit_2_not_a_verdict(capsys, tmp_path):
+    # Point deletion on 300 edgeless worlds recurses past Python's stack
+    # limit; that must not read as exit 1, "not bisimilar".
+    from delbisim import KripkeModel, PointedModel
+
+    worlds = [f"w{i:03d}" for i in range(300)]
+    path = tmp_path / "edgeless.json"
+    path.write_text(save_model(PointedModel.make(KripkeModel.make(worlds), "w000")))
+    code, out, err = run(capsys, "check", "--kind", "d", str(path), str(path))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "RecursionError" in json.loads(err)["error"]
