@@ -10,10 +10,10 @@ Kinds:
 * ``r`` -- as ``d`` but the deleted worlds must themselves be bisimilar in
   the pre-deletion models.
 
-Edge and point deletion are one game over two deletion domains.
-``DOMAINS`` maps each deletion kind to its domain, the only place that knows
-what a deletion removes; the checker here, the oracle and the
-characteristic formulas all read it.
+Edge and point deletion are one game over two deletion domains
+(``model.EDGE`` and ``model.POINT``).  ``DOMAINS`` maps each deletion kind
+to its domain; the checker here, the oracle and the characteristic formulas
+all read it.
 
 The recursive checker mirrors the pseudocode shape: a count gate (edges or
 worlds) runs first, deletion recursion always starts from an empty visited
@@ -32,60 +32,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Callable, NamedTuple
 
-from .model import KripkeModel, PointedModel, delete_edge, delete_point
+from .model import EDGE, POINT, KripkeModel, PointedModel, delete_edge, delete_point
 
 KINDS = ("modal", "s", "d", "g", "r")
 DELETION_KINDS = ("s", "d", "g", "r")
-EDGE_KINDS = ("s", "g")
-POINT_KINDS = ("d", "r")
 # The matched items' endpoints must themselves be bisimilar.
 GENERALIZED = ("g", "r")
 
 
-class Domain(NamedTuple):
-    """What one deletion removes: an edge, or a world other than the current one.
-
-    ``every(m)`` are all items of ``m``; ``items(m, w, prop)`` lists those
-    deletable at current world ``w``, only those whose target world
-    satisfies ``prop`` when it is given.  ``keep`` items always remain (no
-    edge, one world).  ``pairs(i1, i2)`` are the world pairs formed by the
-    endpoints of two matched items, which the generalized kinds require
-    bisimilar; ``show(item)`` is an item's witness form.
-    ``seq`` names the domain as a :class:`DeletionSequence` kind.
-    """
-
-    seq: str
-    keep: int
-    every: Callable
-    items: Callable
-    pairs: Callable
-    show: Callable
-
-
-def _edges(m: KripkeModel, w, prop):
-    if prop is None:
-        return m.edges
-    return [e for e in m.edges if m.true_at(prop, e[1])]
-
-
-def _worlds(m: KripkeModel, w, prop):
-    return [u for u in m.worlds
-            if u != w and (prop is None or m.true_at(prop, u))]
-
-
-def _same(x):
-    return x
-
-
-def _world_pair(u1, u2):
-    return ((u1, u2),)
-
-
-EDGE = Domain("edge", 0, attrgetter("edges"), _edges, zip, list)
-POINT = Domain("world", 1, attrgetter("worlds"), _worlds, _world_pair, _same)
 DOMAINS = {"s": EDGE, "d": POINT, "g": EDGE, "r": POINT}
 
 
@@ -138,7 +93,7 @@ class _Checker:
         self.every = domain.every
         self.items = domain.items
         self.show = domain.show
-        self.pairs = domain.pairs if kind in GENERALIZED else None
+        self.ends = domain.ends if kind in GENERALIZED else None
         # Resolved per run rather than stored in the table, so that
         # instrumentation replacing the module-level names sees every call.
         self.delete = delete_edge if domain is EDGE else delete_point
@@ -261,8 +216,8 @@ class _Checker:
     def _match(self, m1, w1, m2, w2, i1, i2, depth, path):
         """Delete ``i1`` and ``i2`` after the generalized endpoint checks."""
         used: set = set()
-        if self.pairs is not None:
-            for u1, u2 in self.pairs(i1, i2):
+        if self.ends is not None:
+            for u1, u2 in zip(self.ends(i1), self.ends(i2)):
                 step = path + (["endpoint", u1, u2],)
                 ok, wit, u = self._rec(m1, u1, m2, u2, frozenset(),
                                        depth + 1, step)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .bisim import DOMAINS, EDGE_KINDS, POINT_KINDS, check
+from .bisim import DOMAINS, check
 from .formula import (
     And,
     Atom,
@@ -43,6 +43,7 @@ from .formula import (
     Top,
 )
 from .model import (
+    EDGE,
     DeletionSequence,
     KripkeModel,
     ModelError,
@@ -114,16 +115,15 @@ def _chain(op, guards, seq, body: Formula) -> Formula:
 
 
 def _guard_check(kind, m, edge_guard, world_guard):
-    if kind in EDGE_KINDS and len(m.edges) > edge_guard:
-        raise SizeGuardError(
-            f"characteristic formula guard exceeded: |R|={len(m.edges)} > {edge_guard}"
-        )
-    if kind in POINT_KINDS and len(m.worlds) > world_guard:
-        raise SizeGuardError(
-            f"characteristic formula guard exceeded: |W|={len(m.worlds)} > {world_guard}"
-        )
-    if kind not in EDGE_KINDS and kind not in POINT_KINDS:
+    if kind not in DOMAINS:
         raise ValueError(f"no characteristic formula for kind {kind!r}")
+    domain = DOMAINS[kind]
+    size = len(domain.every(m))
+    guard, name = (edge_guard, "R") if domain is EDGE else (world_guard, "W")
+    if size > guard:
+        raise SizeGuardError(
+            f"characteristic formula guard exceeded: |{name}|={size} > {guard}"
+        )
 
 
 def _char_layers(kind: str, m: KripkeModel):
@@ -148,8 +148,7 @@ def _char_layers(kind: str, m: KripkeModel):
     def tags(item) -> list[Formula]:
         if not guards:
             return []
-        # an item's endpoints are the left sides of its pairs with itself
-        return [Atom(fresh_atom(x)) for x, _ in domain.pairs(item, item)]
+        return [Atom(fresh_atom(x)) for x in domain.ends(item)]
 
     def anything(_) -> list[Formula]:
         return [Top() for _ in range(guards)]

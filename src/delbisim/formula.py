@@ -6,6 +6,9 @@ point removal (``rem``/``rbox``) and guarded point removal (``rem{psi}``).
 Box-family operators are primitive, not abbreviations, so printed formulas
 keep their dual shape.
 
+A modal node has zero or more guard fields and then its body; ``_KEYWORD``
+maps each modal node class to its keyword for the printer and the parser.
+
 Grammar (binary operators always need explicit parentheses)::
 
     formula ::= "true" | "false" | ident
@@ -24,7 +27,7 @@ from __future__ import annotations
 import enum
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class Formula:
@@ -133,6 +136,21 @@ class GRemBox(Formula):
     body: Formula
 
 
+# Modal node class -> keyword; a guarded class shares its twin's keyword.
+_KEYWORD = {
+    Dia: "dia",
+    Box: "box",
+    Sab: "sab",
+    SabBox: "sbox",
+    GSab: "sab",
+    GSabBox: "sbox",
+    Rem: "rem",
+    RemBox: "rbox",
+    GRem: "rem",
+    GRemBox: "rbox",
+}
+
+
 class LanguageFragment(enum.Enum):
     MODAL = "modal"
     SML = "sml"
@@ -167,17 +185,11 @@ def walk(f: Formula):
 
 
 def _children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, (Top, Bot, Atom)):
+    if isinstance(f, Atom):
         return ()
-    if isinstance(f, (Not, Dia, Box, Sab, SabBox, Rem, RemBox)):
-        return (f.body,)
-    if isinstance(f, (And, Or, Imp)):
-        return (f.left, f.right)
-    if isinstance(f, (GSab, GSabBox)):
-        return (f.source, f.target, f.body)
-    if isinstance(f, (GRem, GRemBox)):
-        return (f.guard, f.body)
-    raise TypeError(f"not a formula node: {f!r}")
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula node: {f!r}")
+    return tuple(getattr(f, field.name) for field in fields(f))
 
 
 def atoms(f: Formula) -> set[str]:
@@ -186,26 +198,22 @@ def atoms(f: Formula) -> set[str]:
 
 def modal_depth(f: Formula) -> int:
     """Deepest nesting of modal/deletion operators (guards included)."""
-    if isinstance(f, (Top, Bot, Atom)):
-        return 0
     kids = _children(f)
-    inner = max(modal_depth(k) for k in kids)
-    if isinstance(f, (Not, And, Or, Imp)):
-        return inner
-    return 1 + inner
+    if not kids:
+        return 0
+    return max(modal_depth(k) for k in kids) + (type(f) in _KEYWORD)
 
 
 # --- printer ---------------------------------------------------------------
 
+_CONSTANT_TEXT = {Top: "true", Bot: "false"}
 _BINOP_TEXT = {And: "&", Or: "|", Imp: "->"}
 
 
 def format_formula(f: Formula) -> str:
     """Canonical text form; ``parse_formula`` inverts it exactly."""
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bot):
-        return "false"
+    if type(f) in _CONSTANT_TEXT:
+        return _CONSTANT_TEXT[type(f)]
     if isinstance(f, Atom):
         return f.name
     if isinstance(f, Not):
@@ -213,32 +221,10 @@ def format_formula(f: Formula) -> str:
     if isinstance(f, (And, Or, Imp)):
         op = _BINOP_TEXT[type(f)]
         return f"({format_formula(f.left)} {op} {format_formula(f.right)})"
-    if isinstance(f, Dia):
-        return f"dia {format_formula(f.body)}"
-    if isinstance(f, Box):
-        return f"box {format_formula(f.body)}"
-    if isinstance(f, Sab):
-        return f"sab {format_formula(f.body)}"
-    if isinstance(f, SabBox):
-        return f"sbox {format_formula(f.body)}"
-    if isinstance(f, GSab):
-        return (
-            f"sab{{{format_formula(f.source)}|{format_formula(f.target)}}} "
-            f"{format_formula(f.body)}"
-        )
-    if isinstance(f, GSabBox):
-        return (
-            f"sbox{{{format_formula(f.source)}|{format_formula(f.target)}}} "
-            f"{format_formula(f.body)}"
-        )
-    if isinstance(f, Rem):
-        return f"rem {format_formula(f.body)}"
-    if isinstance(f, RemBox):
-        return f"rbox {format_formula(f.body)}"
-    if isinstance(f, GRem):
-        return f"rem{{{format_formula(f.guard)}}} {format_formula(f.body)}"
-    if isinstance(f, GRemBox):
-        return f"rbox{{{format_formula(f.guard)}}} {format_formula(f.body)}"
+    if type(f) in _KEYWORD:
+        *guards, body = map(format_formula, _children(f))
+        braces = "{" + "|".join(guards) + "}" if guards else ""
+        return f"{_KEYWORD[type(f)]}{braces} {body}"
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -253,17 +239,11 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(r"[A-Za-z_@][A-Za-z0-9_@]*|->|[~&|(){}]|\S")
-_KEYWORDS = {"true", "false", "dia", "box", "sab", "sbox", "rem", "rbox"}
-_PLAIN_UNARY = {
-    "dia": Dia,
-    "box": Box,
-    "sab": Sab,
-    "sbox": SabBox,
-    "rem": Rem,
-    "rbox": RemBox,
-}
-_GUARDED_EDGE = {"sab": GSab, "sbox": GSabBox}
-_GUARDED_POINT = {"rem": GRem, "rbox": GRemBox}
+_CONSTANT = {text: cls for cls, text in _CONSTANT_TEXT.items()}
+_BINOP = {text: cls for cls, text in _BINOP_TEXT.items()}
+# (keyword, guard count) -> class; keyword -> its largest guard count.
+_MODAL = {(kw, len(fields(cls)) - 1): cls for cls, kw in _KEYWORD.items()}
+_GUARDS = {kw: max(n for k, n in _MODAL if k == kw) for kw in _KEYWORD.values()}
 
 
 class _Parser:
@@ -299,12 +279,9 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             self.error("unexpected end of input")
-        if tok == "true":
+        if tok in _CONSTANT:
             self.take()
-            return Top()
-        if tok == "false":
-            self.take()
-            return Bot()
+            return _CONSTANT[tok]()
         if tok == "~":
             self.take()
             return Not(self.formula())
@@ -312,37 +289,23 @@ class _Parser:
             self.take()
             left = self.formula()
             op = self.take()
-            if op not in ("&", "|", "->"):
+            if op not in _BINOP:
                 self.pos -= 1
                 self.error(f"expected a binary operator, found {op!r}")
             right = self.formula()
             self.take(")")
-            if op == "&":
-                return And(left, right)
-            if op == "|":
-                return Or(left, right)
-            return Imp(left, right)
-        if tok in ("sab", "sbox"):
+            return _BINOP[op](left, right)
+        if tok in _GUARDS:
             self.take()
-            if self.peek() == "{":
+            guards = []
+            if _GUARDS[tok] and self.peek() == "{":
                 self.take("{")
-                source = self.formula()
-                self.take("|")
-                target = self.formula()
+                guards.append(self.formula())
+                while len(guards) < _GUARDS[tok]:
+                    self.take("|")
+                    guards.append(self.formula())
                 self.take("}")
-                return _GUARDED_EDGE[tok](source, target, self.formula())
-            return _PLAIN_UNARY[tok](self.formula())
-        if tok in ("rem", "rbox"):
-            self.take()
-            if self.peek() == "{":
-                self.take("{")
-                guard = self.formula()
-                self.take("}")
-                return _GUARDED_POINT[tok](guard, self.formula())
-            return _PLAIN_UNARY[tok](self.formula())
-        if tok in ("dia", "box"):
-            self.take()
-            return _PLAIN_UNARY[tok](self.formula())
+            return _MODAL[tok, len(guards)](*guards, self.formula())
         if re.fullmatch(r"[A-Za-z_@][A-Za-z0-9_@]*", tok):
             self.take()
             return Atom(tok)
@@ -351,7 +314,10 @@ class _Parser:
 
 def parse_formula(text: str) -> Formula:
     parser = _Parser(text)
-    f = parser.formula()
+    try:
+        f = parser.formula()
+    except RecursionError:
+        parser.error("formula nested too deeply")
     if parser.peek() is not None:
         parser.error(f"trailing input {parser.peek()!r}")
     return f
@@ -385,43 +351,8 @@ def _gen(rng: random.Random, fragment: LanguageFragment, budget: int, pool) -> F
             return Top() if rng.random() < 0.5 else Bot()
         atom = Atom(rng.choice(pool))
         return Not(atom) if roll < 0.4 else atom
-    choices = ["leaf", "not", "and", "or", "imp", "dia", "box"]
-    if fragment in (LanguageFragment.SML, LanguageFragment.GSML):
-        choices += ["sab", "sbox"]
-    if fragment is LanguageFragment.GSML:
-        choices += ["gsab", "gsbox"]
-    if fragment in (LanguageFragment.PSL, LanguageFragment.MLSR):
-        choices += ["rem", "rbox"]
-    if fragment is LanguageFragment.MLSR:
-        choices += ["grem", "grbox"]
-    kind = rng.choice(choices)
-    sub = lambda: _gen(rng, fragment, budget - 1, pool)  # noqa: E731
+    # every node class but the leaves Top, Bot and Atom
+    kind = rng.choice(["leaf", *_FRAGMENT_NODES[fragment][3:]])
     if kind == "leaf":
         return _gen(rng, fragment, 1, pool)
-    if kind == "not":
-        return Not(sub())
-    if kind == "and":
-        return And(sub(), sub())
-    if kind == "or":
-        return Or(sub(), sub())
-    if kind == "imp":
-        return Imp(sub(), sub())
-    if kind == "dia":
-        return Dia(sub())
-    if kind == "box":
-        return Box(sub())
-    if kind == "sab":
-        return Sab(sub())
-    if kind == "sbox":
-        return SabBox(sub())
-    if kind == "gsab":
-        return GSab(sub(), sub(), sub())
-    if kind == "gsbox":
-        return GSabBox(sub(), sub(), sub())
-    if kind == "rem":
-        return Rem(sub())
-    if kind == "rbox":
-        return RemBox(sub())
-    if kind == "grem":
-        return GRem(sub(), sub())
-    return GRemBox(sub(), sub())
+    return kind(*[_gen(rng, fragment, budget - 1, pool) for _ in fields(kind)])

@@ -2,6 +2,10 @@
 
 Worlds are plain string identifiers.  All collections are kept in canonical
 sorted order so that every iteration in the package is deterministic.
+
+What one deletion removes is named once, in the deletion domains ``EDGE``
+and ``POINT``; the checker, the oracle, the characteristic formulas and the
+formula semantics read it from there.
 """
 
 from __future__ import annotations
@@ -9,7 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 
 class ModelError(ValueError):
@@ -181,6 +186,50 @@ def delete_point(m: KripkeModel, v: str) -> KripkeModel:
             (p, tuple(w for w in ws if w != v)) for p, ws in m.valuation
         ),
     )
+
+
+class Domain(NamedTuple):
+    """What one deletion removes: an edge, or a world other than the current one.
+
+    ``every(m)`` are all items of ``m``; ``items(m, w, prop)`` lists those
+    deletable at current world ``w``, only those whose target world
+    satisfies ``prop`` when it is given.  ``keep`` items always remain (no
+    edge, one world).  ``ends(item)`` are the worlds an item touches:
+    ``(u, v)`` for an edge, ``(v,)`` for a world.  ``show(item)`` is an
+    item's witness form.  ``seq`` names the domain as a
+    :class:`DeletionSequence` kind.
+    """
+
+    seq: str
+    keep: int
+    every: Callable
+    items: Callable
+    ends: Callable
+    show: Callable
+
+
+def _edges(m: KripkeModel, w, prop):
+    if prop is None:
+        return m.edges
+    return [e for e in m.edges if m.true_at(prop, e[1])]
+
+
+def _worlds(m: KripkeModel, w, prop):
+    if prop is None:
+        return [u for u in m.worlds if u != w]
+    return [u for u in m.worlds if u != w and m.true_at(prop, u)]
+
+
+def _same(x):
+    return x
+
+
+def _alone(v):
+    return (v,)
+
+
+EDGE = Domain("edge", 0, attrgetter("edges"), _edges, _same, list)
+POINT = Domain("world", 1, attrgetter("worlds"), _worlds, _alone, _same)
 
 
 def load_model(text: str) -> PointedModel:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .bisim import DOMAINS, GENERALIZED, KINDS, Domain, Verdict, _atom_mismatch
-from .model import PointedModel, SizeGuardError
+from .bisim import DOMAINS, GENERALIZED, KINDS, Verdict, _atom_mismatch
+from .model import Domain, PointedModel, SizeGuardError
 
 DEFAULT_MAX_WORLDS = 5
 DEFAULT_MAX_EDGES = 6
@@ -51,7 +51,7 @@ def oracle_bisimilar(
     if kind not in KINDS:
         raise ValueError(f"unknown bisimilarity kind {kind!r}")
     domain = DOMAINS.get(kind, _NO_DELETION)
-    pairs = domain.pairs if kind in GENERALIZED else None
+    ends = domain.ends if kind in GENERALIZED else None
     m1, m2 = a.model, b.model
     props = sorted(set(m1.propositions) | set(m2.propositions))
     atoms_ok = {
@@ -76,7 +76,7 @@ def oracle_bisimilar(
                         checks += 1
                         (succ1, del1), (succ2, del2) = at1[x], at2[y]
                         ok = _modal_ok(succ1, succ2, live) and _del_ok(
-                            pairs, x, y, del1, del2, after1, after2, live, table
+                            ends, x, y, del1, del2, after1, after2, live, table
                         )
                         if not ok:
                             live.discard((x, y))
@@ -119,12 +119,12 @@ def _modal_ok(succ_x, succ_y, live):
     return True
 
 
-def _del_ok(pairs, x, y, del1, del2, after1, after2, live, table):
+def _del_ok(ends, x, y, del1, del2, after1, after2, live, table):
     """Deletion zig/zag at (x, y): each deletable item has a partner."""
 
     def match(i1, i2):
         return (
-            pairs is None or live.issuperset(pairs(i1, i2))
+            ends is None or live.issuperset(zip(ends(i1), ends(i2)))
         ) and (x, y) in table[(after1[i1], after2[i2])]
 
     for i1 in del1:

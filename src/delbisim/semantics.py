@@ -1,34 +1,33 @@
 """Truth evaluation of formulas in pointed models.
 
 Existential modalities pick witnesses in canonical model order and stop at
-the first success.  Guards of the guarded modalities are evaluated in the
-model as it is *before* the deletion; the deletion then produces the model
-in which the body is evaluated.
+the first success.  One clause serves the eight deletion modalities.
+Guards are evaluated in the model as it is *before* the deletion, at the
+worlds the deleted item touches (an item whose guards fail satisfies a box
+and refutes a diamond); the deletion then produces the model in which the
+body is evaluated.
 """
 
 from __future__ import annotations
 
-from .formula import (
-    And,
-    Atom,
-    Bot,
-    Box,
-    Dia,
-    Formula,
-    GRem,
-    GRemBox,
-    GSab,
-    GSabBox,
-    Imp,
-    Not,
-    Or,
-    Rem,
-    RemBox,
-    Sab,
-    SabBox,
-    Top,
-)
-from .model import KripkeModel, PointedModel, delete_edge, delete_point
+from dataclasses import fields
+
+from .formula import _KEYWORD, And, Atom, Bot, Box, Dia, Formula, Imp, Not, Or, Top
+from .model import EDGE, POINT, KripkeModel, PointedModel, delete_edge, delete_point
+
+# deletion keyword -> (domain, quantifier over its items); a guarded modality
+# shares its unguarded twin's keyword, and so its entry
+_DELETION = {
+    "sab": (EDGE, any),
+    "sbox": (EDGE, all),
+    "rem": (POINT, any),
+    "rbox": (POINT, all),
+}
+# deletion modality class -> (domain, quantifier, its guard fields)
+_DELETIONS = {
+    cls: (*_DELETION[kw], [x.name for x in fields(cls)][:-1])
+    for cls, kw in _KEYWORD.items() if kw in _DELETION
+}
 
 
 class UndeclaredAtomError(ValueError):
@@ -78,46 +77,24 @@ def _clause(m: KripkeModel, w: str, f: Formula, cache) -> bool:
         return any(_ev(m, v, f.body, cache) for v in m.successors(w))
     if isinstance(f, Box):
         return all(_ev(m, v, f.body, cache) for v in m.successors(w))
-    if isinstance(f, Sab):
-        return any(_ev(delete_edge(m, e), w, f.body, cache) for e in m.edges)
-    if isinstance(f, SabBox):
-        return all(_ev(delete_edge(m, e), w, f.body, cache) for e in m.edges)
-    if isinstance(f, GSab):
-        return any(
-            _ev(m, u, f.source, cache)
-            and _ev(m, v, f.target, cache)
-            and _ev(delete_edge(m, (u, v)), w, f.body, cache)
-            for u, v in m.edges
-        )
-    if isinstance(f, GSabBox):
-        return all(
-            not (_ev(m, u, f.source, cache) and _ev(m, v, f.target, cache))
-            or _ev(delete_edge(m, (u, v)), w, f.body, cache)
-            for u, v in m.edges
-        )
-    if isinstance(f, Rem):
-        return any(
-            _ev(delete_point(m, v), w, f.body, cache)
-            for v in m.worlds
-            if v != w
-        )
-    if isinstance(f, RemBox):
-        return all(
-            _ev(delete_point(m, v), w, f.body, cache)
-            for v in m.worlds
-            if v != w
-        )
-    if isinstance(f, GRem):
-        return any(
-            _ev(m, v, f.guard, cache) and _ev(delete_point(m, v), w, f.body, cache)
-            for v in m.worlds
-            if v != w
-        )
-    if isinstance(f, GRemBox):
-        return all(
-            not _ev(m, v, f.guard, cache)
-            or _ev(delete_point(m, v), w, f.body, cache)
-            for v in m.worlds
-            if v != w
-        )
+    if type(f) in _DELETIONS:
+        return _deletion(m, w, f, cache)
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def _deletion(m: KripkeModel, w: str, f: Formula, cache) -> bool:
+    """``any``/``all`` over the deletable items, stopping once decided."""
+    domain, quantifier, guard_fields = _DELETIONS[type(f)]
+    # looked up per call, so that instrumentation replacing them sees it
+    delete = delete_edge if domain is EDGE else delete_point
+    box = quantifier is all
+    for item in domain.items(m, w, None):
+        for u, guard in zip(domain.ends(item), guard_fields):
+            if not _ev(m, u, getattr(f, guard), cache):
+                holds = box
+                break
+        else:
+            holds = _ev(delete(m, item), w, f.body, cache)
+        if holds != box:
+            return holds
+    return box

@@ -76,6 +76,27 @@ def test_parse_rejects_double_operator():
         parse_formula("(p & & q)")
 
 
+@pytest.mark.parametrize("prefix, last", [("~", "p"), ("dia ", "p"), ("(", "p")])
+def test_deep_nesting_is_a_parse_error(prefix, last):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_formula(prefix * 5000 + last)
+
+
+GRAMMAR_TOKENS = ("true", "false", "p", "@w", "~", "(", ")", "&", "|", "->",
+                  "{", "}", "dia", "box", "sab", "sbox", "rem", "rbox")
+
+
+@given(st.lists(st.tuples(st.sampled_from(GRAMMAR_TOKENS),
+                          st.sampled_from(("", " ", "\n"))), max_size=40))
+def test_token_soup_parses_and_round_trips_or_refuses(soup):
+    text = "".join(token + gap for token, gap in soup)
+    try:
+        f = parse_formula(text)
+    except ParseError:
+        return
+    assert parse_formula(format_formula(f)) == f
+
+
 @given(st.integers(0, 10**6), st.sampled_from(FRAGMENTS), st.integers(1, 5))
 def test_round_trip(seed, fragment, depth):
     f = random_formula(seed, fragment, depth, ("p", "q", "r"))

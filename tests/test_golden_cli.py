@@ -43,6 +43,23 @@ CHECK_PAIRS = (
     *((f"r{s}", f"r{s + 1}") for s in RANDOM_SEEDS),
 )
 
+# Every deletion modality, guarded and unguarded, next to dia and box.
+EVAL_FORMULAS = (
+    "dia p",
+    "box dia p",
+    "sab dia p",
+    "sbox sab true",
+    "sab{p|p} box p",
+    "sbox{~p|p} dia p",
+    "rem dia p",
+    "rbox dia true",
+    "rem{~p} dia p",
+    "rbox{p} dia p",
+    "sab sab{true|p} ~dia true",
+    "rem{dia p} sbox{p|true} (dia p -> box p)",
+    "sbox rbox{~p} box false",
+)
+
 CASES = (
     *(
         ("check", "--stats", "--oracle", "--kind", kind, f"@{a}", f"@{b}")
@@ -68,6 +85,13 @@ CASES = (
     # its worlds are bisimilar: exit 2 with a disagreement diagnostic.
     ("charcheck", "--kind", "s", "@twins", "@twins"),
     ("sweep", "--kinds", "s,d,g,r", "--seed", "7", "--count", "20", "--cache"),
+    *(("eval", f"@{m}", formula) for formula in EVAL_FORMULAS
+      for m in ("loop", "cycle2", "golden_a", "three")),
+    # Malformed guards, a truncated formula and an undeclared atom: exit 2.
+    ("eval", "@loop", "sab{p} q"),
+    ("eval", "@loop", "rem{p|q} r"),
+    ("eval", "@cycle2", "(dia p &"),
+    ("eval", "@three", "dia q"),
 )
 
 # (kind, a, b, translation, restriction): deletions restricted to items
