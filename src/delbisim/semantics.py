@@ -15,15 +15,15 @@ from dataclasses import fields
 from .formula import _KEYWORD, And, Atom, Bot, Box, Dia, Formula, Imp, Not, Or, Top
 from .model import EDGE, POINT, KripkeModel, PointedModel, delete_edge, delete_point
 
-# deletion keyword -> (domain, quantifier over its items); a guarded modality
-# shares its unguarded twin's keyword, and so its entry
+# deletion keyword -> (domain, whether it is a box over its items); a guarded
+# modality shares its unguarded twin's keyword, and so its entry
 _DELETION = {
-    "sab": (EDGE, any),
-    "sbox": (EDGE, all),
-    "rem": (POINT, any),
-    "rbox": (POINT, all),
+    "sab": (EDGE, False),
+    "sbox": (EDGE, True),
+    "rem": (POINT, False),
+    "rbox": (POINT, True),
 }
-# deletion modality class -> (domain, quantifier, its guard fields)
+# deletion modality class -> (domain, whether a box, its guard fields)
 _DELETIONS = {
     cls: (*_DELETION[kw], [x.name for x in fields(cls)][:-1])
     for cls, kw in _KEYWORD.items() if kw in _DELETION
@@ -40,61 +40,53 @@ def evaluate(pm: PointedModel, f: Formula, cache: dict | None = None) -> bool:
     ``cache`` may be a dict reused across calls on the same formula object;
     it is keyed by (model, world, subformula identity) and never changes the
     result.  The formula object must stay alive while the cache is in use.
+    Without one, the call memoises in a fresh dict.
     """
-    return _ev(pm.model, pm.point, f, cache)
+    return _ev(pm.model, pm.point, f, {} if cache is None else cache)
 
 
-def _ev(m: KripkeModel, w: str, f: Formula, cache: dict | None) -> bool:
-    if cache is not None:
-        key = (m, w, id(f))
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    result = _clause(m, w, f, cache)
-    if cache is not None:
-        cache[key] = result
-    return result
-
-
-def _clause(m: KripkeModel, w: str, f: Formula, cache) -> bool:
+def _ev(m: KripkeModel, w: str, f: Formula, cache: dict) -> bool:
+    """One Python frame per formula level: quantifiers are explicit loops."""
+    key = (m, w, id(f))
+    result = cache.get(key)
+    if result is not None:
+        return result
     if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, Atom):
+        result = True
+    elif isinstance(f, Bot):
+        result = False
+    elif isinstance(f, Atom):
         if f.name not in m.propositions:
             raise UndeclaredAtomError(f"atom {f.name!r} is not declared in the model")
-        return m.true_at(f.name, w)
-    if isinstance(f, Not):
-        return not _ev(m, w, f.body, cache)
-    if isinstance(f, And):
-        return _ev(m, w, f.left, cache) and _ev(m, w, f.right, cache)
-    if isinstance(f, Or):
-        return _ev(m, w, f.left, cache) or _ev(m, w, f.right, cache)
-    if isinstance(f, Imp):
-        return (not _ev(m, w, f.left, cache)) or _ev(m, w, f.right, cache)
-    if isinstance(f, Dia):
-        return any(_ev(m, v, f.body, cache) for v in m.successors(w))
-    if isinstance(f, Box):
-        return all(_ev(m, v, f.body, cache) for v in m.successors(w))
-    if type(f) in _DELETIONS:
-        return _deletion(m, w, f, cache)
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def _deletion(m: KripkeModel, w: str, f: Formula, cache) -> bool:
-    """``any``/``all`` over the deletable items, stopping once decided."""
-    domain, quantifier, guard_fields = _DELETIONS[type(f)]
-    # looked up per call, so that instrumentation replacing them sees it
-    delete = delete_edge if domain is EDGE else delete_point
-    box = quantifier is all
-    for item in domain.items(m, w, None):
-        for u, guard in zip(domain.ends(item), guard_fields):
-            if not _ev(m, u, getattr(f, guard), cache):
-                holds = box
+        result = m.true_at(f.name, w)
+    elif isinstance(f, Not):
+        result = not _ev(m, w, f.body, cache)
+    elif isinstance(f, And):
+        result = _ev(m, w, f.left, cache) and _ev(m, w, f.right, cache)
+    elif isinstance(f, Or):
+        result = _ev(m, w, f.left, cache) or _ev(m, w, f.right, cache)
+    elif isinstance(f, Imp):
+        result = (not _ev(m, w, f.left, cache)) or _ev(m, w, f.right, cache)
+    elif isinstance(f, (Dia, Box)):
+        result = box = isinstance(f, Box)
+        for v in m.successors(w):
+            if _ev(m, v, f.body, cache) != box:
+                result = not box
                 break
-        else:
-            holds = _ev(delete(m, item), w, f.body, cache)
-        if holds != box:
-            return holds
-    return box
+    elif type(f) in _DELETIONS:
+        domain, box, guard_fields = _DELETIONS[type(f)]
+        # looked up per call, so that instrumentation replacing them sees it
+        delete = delete_edge if domain is EDGE else delete_point
+        result = box
+        for item in domain.items(m, w, None):
+            for u, guard in zip(domain.ends(item), guard_fields):
+                if not _ev(m, u, getattr(f, guard), cache):
+                    break  # failed guards satisfy a box and refute a diamond
+            else:
+                if _ev(delete(m, item), w, f.body, cache) != box:
+                    result = not box
+                    break
+    else:
+        raise TypeError(f"not a formula node: {f!r}")
+    cache[key] = result
+    return result

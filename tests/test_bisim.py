@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -225,6 +227,31 @@ def test_oracle_size_guard(loop):
         big = random_model(len(big.model.worlds), 9, 12, ("p",))
     with pytest.raises(SizeGuardError):
         oracle_bisimilar("s", big, big)
+
+
+# one hex digit per pool pair j = (random_model(2j, 5, 6), random_model(2j + 1, 5, 6)),
+# the pairs `delbisim sweep --seed 0 --worlds 5 --edges 6` draws; bit 1/2/4/8
+# is set when s/d/g/r is bisimilar
+SWEEP_POOL = Path(__file__).parent.parent / "bench" / "expected" / "sweep_pool.hex"
+
+
+def test_oracle_at_size_guard_matches_committed_pool():
+    pool = "".join(SWEEP_POOL.read_text(encoding="ascii").split())
+    yes = [j for j, digit in enumerate(pool) if digit != "0"][:256]
+    pairs = sorted(set(range(0, len(pool), 64)) | set(yes))
+    assert len(pairs) == 762
+    counts = dict.fromkeys((*RECURSIVE, "modal"), 0)
+    for j in pairs:
+        a = random_model(2 * j, 5, 6, ("p",))
+        b = random_model(2 * j + 1, 5, 6, ("p",))
+        for bit, kind in enumerate(RECURSIVE):
+            answer = oracle_bisimilar(kind, a, b).answer
+            assert answer == bool(int(pool[j], 16) >> bit & 1), (j, kind)
+            counts[kind] += answer
+        modal = oracle_bisimilar("modal", a, b).answer
+        assert modal == modal_bisimilar(a, b).answer, j
+        counts["modal"] += modal
+    assert counts == {"s": 209, "d": 138, "g": 183, "r": 62, "modal": 330}
 
 
 def test_unknown_kind_rejected(loop):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from delbisim import save_model
+from delbisim import check, save_model
 from delbisim.cli import main
 
 
@@ -143,6 +143,23 @@ def test_sweep_summary(capsys):
     assert summary["mismatches"] == 0
     assert len(lines) == 5 * 2 + 1
     assert all(line["match"] for line in lines[:-1])
+
+
+def test_sweep_always_uses_the_checker_memo(capsys, monkeypatch):
+    # seed 1057 draws a g pair the uncached checker does not finish
+    seen = []
+
+    def spy(kind, a, b, use_cache=False):
+        seen.append(use_cache)
+        return check(kind, a, b, use_cache=True)
+
+    monkeypatch.setattr("delbisim.cli.check", spy)
+    code, out, _ = run(
+        capsys, "sweep", "--kinds", "s,d,g,r", "--seed", "1057", "--count", "2"
+    )
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[-1])["mismatches"] == 0
+    assert seen == [True] * 8
 
 
 def test_sweep_rejects_unknown_kind(capsys):

@@ -67,6 +67,15 @@ def test_grem_guard_at_removed_world():
     assert evaluate(pm, parse_formula("rem{q} box false")) is False
 
 
+@pytest.mark.parametrize("prefix", ["~", "dia ", "box "])
+def test_deep_formula_evaluates(loop, prefix):
+    # one Python frame per formula level: 900 levels stay below the
+    # interpreter's recursion limit, as they do in the parser
+    f = parse_formula(prefix * 900 + "p")
+    assert evaluate(loop, f) is True
+    assert evaluate(loop, f, {}) is True
+
+
 def test_undeclared_atom_raises(loop):
     with pytest.raises(UndeclaredAtomError):
         evaluate(loop, parse_formula("nope"))
