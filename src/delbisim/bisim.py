@@ -52,6 +52,12 @@ class Verdict:
     first violated condition in canonical order: the condition id, the item
     that could not be matched, the current pair of worlds, the action path
     from the root call, and (``cause``) the failure of the first candidate.
+
+    ``calls`` counts recursive calls for ``s``/``d``/``g``/``r``.  For
+    ``modal`` it counts pair checks: ``|W1|*|W2|`` for the atom table plus
+    the live set's size at the start of every round, i.e. the pair checks
+    of a round-by-round rescan, whichever pairs ``modal_bisimilar``
+    actually re-checks.
     """
 
     answer: bool
@@ -248,37 +254,54 @@ def r_bisimilar(a: PointedModel, b: PointedModel, use_cache=False) -> Verdict:
 
 
 def modal_bisimilar(a: PointedModel, b: PointedModel) -> Verdict:
-    """Plain modal bisimilarity via greatest fixpoint on world pairs."""
+    """Plain modal bisimilarity via greatest fixpoint on world pairs.
+
+    Round-synchronous predecessor worklist: round 1 checks every live pair;
+    round k+1 re-checks only the live pairs with a successor pair removed
+    in round k, since no other pair can have become violated.  Within a
+    round, pairs are visited in sorted order and judged against the live
+    set of the round's start, and the removals are applied after it, so
+    the same pairs fall in the same rounds and order as in a full rescan,
+    and the verdict, ``calls`` included, is the rescan's.
+    """
     m1, m2 = a.model, b.model
     props = sorted(set(m1.propositions) | set(m2.propositions))
     live: set[tuple[str, str]] = set()
     reasons: dict[tuple[str, str], dict] = {}
-    checks = 0
     for x in m1.worlds:
         for y in m2.worlds:
-            checks += 1
             bad = _atom_mismatch(m1, x, m2, y, props)
             if bad is None:
                 live.add((x, y))
             else:
                 reasons[(x, y)] = {"condition": "atom", "prop": bad,
                                    "at": [x, y]}
-    changed = True
-    while changed:
-        changed = False
+    checks = len(m1.worlds) * len(m2.worlds)
+    pred1, pred2 = _predecessors(m1), _predecessors(m2)
+    candidates = live
+    while True:
+        checks += len(live)
         removed = []
-        for x, y in sorted(live):
-            checks += 1
+        for x, y in sorted(candidates):
             reason = _modal_violation(m1, x, m2, y, live, reasons)
             if reason is not None:
                 removed.append((x, y))
                 reasons[(x, y)] = reason
-        if removed:
-            live.difference_update(removed)
-            changed = True
+        if not removed:
+            break
+        live.difference_update(removed)
+        candidates = {(p, q) for u, v in removed
+                      for p in pred1[u] for q in pred2[v]} & live
     answer = (a.point, b.point) in live
     witness = None if answer else reasons.get((a.point, b.point))
     return Verdict(answer, 0, checks, witness)
+
+
+def _predecessors(m: KripkeModel) -> dict[str, list[str]]:
+    pred: dict[str, list[str]] = {w: [] for w in m.worlds}
+    for u, v in m.edges:
+        pred[v].append(u)
+    return pred
 
 
 def _modal_violation(m1, x, m2, y, live, reasons):

@@ -276,3 +276,50 @@ def test_random_model_edge_bound_zero():
 def test_random_model_requires_worlds():
     with pytest.raises(ValueError):
         random_model(0, 0, 0)
+
+
+def _cycle(n, prefix, marked, point):
+    """Directed n-cycle ``prefix0 -> prefix1 -> ...`` with p at ``marked``."""
+    ws = [f"{prefix}{i}" for i in range(n)]
+    edges = [(ws[i], ws[(i + 1) % n]) for i in range(n)]
+    model = KripkeModel.make(ws, edges, ["p"], {"p": [ws[i] for i in marked]})
+    return PointedModel.make(model, ws[point])
+
+
+def test_modal_fixpoint_rechecks_only_what_can_fall(monkeypatch):
+    # On a cycle each round removes about one layer of pairs, so checking
+    # every live pair in every round would take 61,712 evaluations here.
+    import delbisim.bisim as bisim
+
+    evaluations = 0
+    real = bisim._modal_violation
+
+    def spy(*args):
+        nonlocal evaluations
+        evaluations += 1
+        return real(*args)
+
+    monkeypatch.setattr(bisim, "_modal_violation", spy)
+    verdict = modal_bisimilar(_cycle(57, "w", [0], 0), _cycle(57, "v", [0], 3))
+    assert not verdict.answer
+    assert verdict.calls == 64961
+    assert evaluations <= 3 * 57 * 57
+
+
+def test_modal_fixpoint_matches_oracle_over_many_rounds():
+    # Fixpoints of up to 2 * 12 rounds; p at v0 (and at v_n1 on the
+    # doubled cycle) makes some of the pairs bisimilar: v0 when n2 == n1,
+    # v0 and v_n1 when n2 == 2 * n1 (twice for n1 == 3, where n1 + 3 is
+    # 2 * n1 too).
+    yes = 0
+    for n1 in range(3, 13):
+        a = _cycle(n1, "w", [0], 0)
+        for n2 in (n1, n1 + 3, 2 * n1):
+            marked = [0, n1] if n2 == 2 * n1 else [0]
+            for j in range(n2):
+                b = _cycle(n2, "v", marked, j)
+                expected = oracle_bisimilar("modal", a, b, max_worlds=n2,
+                                            max_edges=n2).answer
+                assert modal_bisimilar(a, b).answer == expected, (n1, n2, j)
+                yes += expected
+    assert yes == 10 + 2 * 10 + 2

@@ -148,3 +148,13 @@ def test_random_formula_validates_arguments():
         random_formula(0, LanguageFragment.MODAL, 0, ("p",))
     with pytest.raises(ValueError):
         random_formula(0, LanguageFragment.MODAL, 2, ())
+
+
+@pytest.mark.parametrize("prefix, suffix", [
+    ("~", ""), ("dia ", ""), ("sab{p|p} ", ""), ("rem{p} ", ""), ("(p & ", ")"),
+])
+def test_deep_formula_prints_back(prefix, suffix):
+    # Compared as text: dataclass == on a tree this deep hits the
+    # recursion limit.
+    text = prefix * 900 + "p" + suffix * 900
+    assert format_formula(parse_formula(text)) == text

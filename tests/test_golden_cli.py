@@ -92,6 +92,12 @@ CASES = (
     ("eval", "@loop", "rem{p|q} r"),
     ("eval", "@cycle2", "(dia p &"),
     ("eval", "@three", "dia q"),
+    # Modal fixpoints that last several rounds: witnesses with 6- to 8-deep
+    # ``cause`` chains, and a yes answer.  Not through CHECK_PAIRS: past 5
+    # worlds the oracle refuses, and ``g`` stalls on a 9-cycle.
+    *(("check", "--stats", "--kind", "modal", f"@{a}", f"@{b}")
+      for a, b in (("c9w1", "c9v2"), ("c9w1", "c6v1"), ("c6v1", "c9w1"),
+                   ("c9p01w2", "c9p02v3"), ("c9w1", "c9v1"))),
 )
 
 # (kind, a, b, translation, restriction): deletions restricted to items
@@ -198,6 +204,18 @@ def _source_models() -> dict:
     for seed in RANDOM_SEEDS:
         models[f"r{seed}"] = random_model(seed, 3, 4)
         models[f"r{seed + 1}"] = random_model(seed + 1, 3, 4)
+
+    def cycle(n, prefix, marked, point):
+        ws = [f"{prefix}{i}" for i in range(n)]
+        edges = [(ws[i], ws[(i + 1) % n]) for i in range(n)]
+        return pm(ws, edges, ["p"], {"p": [ws[i] for i in marked]}, ws[point])
+
+    models["c9w1"] = cycle(9, "w", [0], 1)
+    models["c9v1"] = cycle(9, "v", [0], 1)
+    models["c9v2"] = cycle(9, "v", [0], 2)
+    models["c6v1"] = cycle(6, "v", [0], 1)
+    models["c9p01w2"] = cycle(9, "w", [0, 1], 2)
+    models["c9p02v3"] = cycle(9, "v", [0, 2], 3)
     return models
 
 
