@@ -4,13 +4,9 @@ from .bisim import (
     KINDS,
     Verdict,
     check,
-    d_bisimilar,
     filtered_check,
-    g_bisimilar,
     modal_bisimilar,
-    r_bisimilar,
     random_model,
-    s_bisimilar,
 )
 from .charform import build_char, build_E, canonical_expansion, char_check, fresh_atom
 from .formula import (
@@ -41,13 +37,9 @@ __all__ = [
     "KINDS",
     "Verdict",
     "check",
-    "d_bisimilar",
     "filtered_check",
-    "g_bisimilar",
     "modal_bisimilar",
-    "r_bisimilar",
     "random_model",
-    "s_bisimilar",
     "build_char",
     "build_E",
     "canonical_expansion",

@@ -74,14 +74,6 @@ class Verdict:
         }
 
 
-class _Stats:
-    __slots__ = ("calls", "max_depth")
-
-    def __init__(self):
-        self.calls = 0
-        self.max_depth = 0
-
-
 def _atom_mismatch(m1, w1, m2, w2, props):
     for p in props:
         if m1.true_at(p, w1) != m2.true_at(p, w2):
@@ -90,11 +82,15 @@ def _atom_mismatch(m1, w1, m2, w2, props):
 
 
 class _Checker:
-    """One bisimilarity run; holds kind, stats, and the recursion context."""
+    """One bisimilarity run; holds kind, counters, and the recursion context.
 
-    def __init__(self, kind, use_cache=False, edge_prop=None, world_prop=None):
+    A witness node's ``cause`` is ``(step, witness)`` and its path is left
+    out, so that a memoised witness fits every path that reaches it.
+    """
+
+    def __init__(self, kind, use_cache=False, prop=None):
         if kind not in DOMAINS:
-            raise ValueError(f"unknown recursive checker kind {kind!r}")
+            raise ValueError(f"unknown bisimilarity kind {kind!r}")
         domain = DOMAINS[kind]
         self.every = domain.every
         self.items = domain.items
@@ -103,12 +99,13 @@ class _Checker:
         # Resolved per run rather than stored in the table, so that
         # instrumentation replacing the module-level names sees every call.
         self.delete = delete_edge if domain is EDGE else delete_point
-        self.prop = edge_prop if domain is EDGE else world_prop
+        self.prop = prop
         self.count_condition = f"{domain.seq}-count"
-        self.stats = _Stats()
+        self.calls = 0
+        self.max_depth = 0
         self.memo = {} if use_cache else None
-        self.track_active = kind in GENERALIZED
-        self.active: set = set()
+        # configurations on the call stack (g and r only)
+        self.active = set() if kind in GENERALIZED else None
         self.props: list[str] = []
 
     def run(self, a: PointedModel, b: PointedModel) -> Verdict:
@@ -118,34 +115,32 @@ class _Checker:
             set(a.model.propositions) | set(b.model.propositions)
         )
         ok, wit, _ = self._rec(a.model, a.point, b.model, b.point,
-                               frozenset(), 0, ())
-        return Verdict(ok, self.stats.max_depth, self.stats.calls, wit)
+                               frozenset(), 0)
+        return Verdict(ok, self.max_depth, self.calls, _with_paths(wit))
 
-    def _rec(self, m1, w1, m2, w2, visited, depth, path):
-        self.stats.calls += 1
-        if depth > self.stats.max_depth:
-            self.stats.max_depth = depth
+    def _rec(self, m1, w1, m2, w2, visited, depth):
+        self.calls += 1
+        if depth > self.max_depth:
+            self.max_depth = depth
         key = (m1, w1, m2, w2)
-        if self.track_active and key in self.active:
+        if self.active is not None and key in self.active:
             return True, None, {key}
         mkey = (key, visited)
         if self.memo is not None:
             hit = self.memo.get(mkey)
             if hit is not None:
                 return hit[0], hit[1], set()
-        if self.track_active:
+        if self.active is not None:
             self.active.add(key)
-        try:
-            ok, wit, used = self._body(m1, w1, m2, w2, visited, depth, path)
-        finally:
-            if self.track_active:
-                self.active.discard(key)
+        ok, wit, used = self._body(m1, w1, m2, w2, visited, depth)
+        if self.active is not None:
+            self.active.discard(key)
         used.discard(key)
         if self.memo is not None and not used:
             self.memo[mkey] = (ok, wit)
         return ok, wit, used
 
-    def _body(self, m1, w1, m2, w2, visited, depth, path):
+    def _body(self, m1, w1, m2, w2, visited, depth):
         # Unrestricted, the count gate compares whole models; restricted, it
         # compares deletable items, which never include the current world.
         if self.prop is None:
@@ -155,26 +150,25 @@ class _Checker:
             n2 = len(self.items(m2, w2, self.prop))
         if n1 != n2:
             return False, {"condition": self.count_condition, "left": n1,
-                           "right": n2, "at": [w1, w2],
-                           "path": list(path)}, set()
+                           "right": n2, "at": [w1, w2], "path": None}, set()
 
         bad = _atom_mismatch(m1, w1, m2, w2, self.props)
         if bad is not None:
             return False, {"condition": "atom", "prop": bad,
-                           "at": [w1, w2], "path": list(path)}, set()
+                           "at": [w1, w2], "path": None}, set()
 
         ok, wit, used = self._zigzag(m1, w1, m2, w2,
                                      self.items(m1, w1, self.prop),
                                      self.items(m2, w2, self.prop), None,
-                                     depth, path)
+                                     depth)
         if ok and (w1, w2) not in visited:
             ok, wit, u = self._zigzag(m1, w1, m2, w2, m1.successors(w1),
                                       m2.successors(w2), visited | {(w1, w2)},
-                                      depth, path)
+                                      depth)
             used |= u
         return ok, wit, used
 
-    def _zigzag(self, m1, w1, m2, w2, cands1, cands2, grown, depth, path):
+    def _zigzag(self, m1, w1, m2, w2, cands1, cands2, grown, depth):
         """Zig then zag: every candidate on one side is matched on the other.
 
         The candidates are deletable items when ``grown`` is None, else the
@@ -190,7 +184,7 @@ class _Checker:
                     c1, c2 = (c_out, c_in) if forward else (c_in, c_out)
                     if grown is None:
                         ok, cause, u = self._match(m1, w1, m2, w2, c1, c2,
-                                                   depth, path)
+                                                   depth)
                     elif (c1, c2) in grown:
                         # Membership is tested against the grown list: a
                         # candidate equal to the current pair would only
@@ -200,9 +194,9 @@ class _Checker:
                         # without the redundant descent.
                         break
                     else:
-                        step = path + (["move", c1, c2],)
-                        ok, cause, u = self._rec(m1, c1, m2, c2, grown,
-                                                 depth + 1, step)
+                        ok, wit, u = self._rec(m1, c1, m2, c2, grown,
+                                               depth + 1)
+                        cause = (["move", c1, c2], wit)
                     used |= u
                     if ok:
                         break
@@ -215,42 +209,36 @@ class _Checker:
                     else:
                         cond, item = f"{side}-dia", c_out
                     return False, {"condition": cond, "item": item,
-                                   "at": [w1, w2], "path": list(path),
+                                   "at": [w1, w2], "path": None,
                                    "cause": first_cause}, used
         return True, None, used
 
-    def _match(self, m1, w1, m2, w2, i1, i2, depth, path):
+    def _match(self, m1, w1, m2, w2, i1, i2, depth):
         """Delete ``i1`` and ``i2`` after the generalized endpoint checks."""
         used: set = set()
         if self.ends is not None:
             for u1, u2 in zip(self.ends(i1), self.ends(i2)):
-                step = path + (["endpoint", u1, u2],)
-                ok, wit, u = self._rec(m1, u1, m2, u2, frozenset(),
-                                       depth + 1, step)
+                ok, wit, u = self._rec(m1, u1, m2, u2, frozenset(), depth + 1)
                 used |= u
                 if not ok:
-                    return False, wit, used
-        step = path + (["del", self.show(i1), self.show(i2)],)
+                    return False, (["endpoint", u1, u2], wit), used
         ok, wit, u = self._rec(self.delete(m1, i1), w1, self.delete(m2, i2),
-                               w2, frozenset(), depth + 1, step)
+                               w2, frozenset(), depth + 1)
         used |= u
-        return ok, wit, used
+        return ok, (["del", self.show(i1), self.show(i2)], wit), used
 
 
-def s_bisimilar(a: PointedModel, b: PointedModel, use_cache=False) -> Verdict:
-    return _Checker("s", use_cache).run(a, b)
-
-
-def d_bisimilar(a: PointedModel, b: PointedModel, use_cache=False) -> Verdict:
-    return _Checker("d", use_cache).run(a, b)
-
-
-def g_bisimilar(a: PointedModel, b: PointedModel, use_cache=False) -> Verdict:
-    return _Checker("g", use_cache).run(a, b)
-
-
-def r_bisimilar(a: PointedModel, b: PointedModel, use_cache=False) -> Verdict:
-    return _Checker("r", use_cache).run(a, b)
+def _with_paths(wit):
+    """A copy of a witness chain in which every node's path is its parent's
+    path plus the step to it, from ``[]`` at the root."""
+    if wit is None:
+        return None
+    root = node = dict(wit, path=[])
+    while node.get("cause") is not None:
+        step, child = node["cause"]
+        node["cause"] = dict(child, path=node["path"] + [step])
+        node = node["cause"]
+    return root
 
 
 def modal_bisimilar(a: PointedModel, b: PointedModel) -> Verdict:
@@ -325,22 +313,18 @@ def check(kind: str, a: PointedModel, b: PointedModel,
     """Dispatch on the bisimilarity notion."""
     if kind == "modal":
         return modal_bisimilar(a, b)
-    if kind not in DOMAINS:
-        raise ValueError(f"unknown bisimilarity kind {kind!r}")
     return _Checker(kind, use_cache).run(a, b)
 
 
-def filtered_check(kind: str, a: PointedModel, b: PointedModel, *,
-                   edge_prop: str | None = None,
-                   world_prop: str | None = None) -> Verdict:
+def filtered_check(kind: str, a: PointedModel, b: PointedModel, prop: str) -> Verdict:
     """Checker variant with deletions restricted by a proposition.
 
-    For edge kinds only edges whose target satisfies ``edge_prop`` may be
-    deleted; for point kinds only worlds satisfying ``world_prop``.  The
-    count gate then compares deletable items instead of raw sizes.  Used by
-    the translation correspondence experiments.
+    Only items whose target world satisfies ``prop`` may be deleted: edges
+    into a ``prop`` world for edge kinds, ``prop`` worlds for point kinds.
+    The count gate then compares deletable items instead of raw sizes.
+    Used by the translation correspondence experiments.
     """
-    return _Checker(kind, edge_prop=edge_prop, world_prop=world_prop).run(a, b)
+    return _Checker(kind, prop=prop).run(a, b)
 
 
 def random_model(seed: int, max_worlds: int, max_edges: int,

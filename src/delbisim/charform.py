@@ -55,8 +55,7 @@ from .semantics import evaluate
 
 FRESH_PREFIX = "@"
 
-DEFAULT_EDGE_GUARD = 3
-DEFAULT_WORLD_GUARD = 3
+GUARD = 3  # most edges (s/g) or worlds (d/r) a formula's model may have
 
 
 def fresh_atom(world: str) -> str:
@@ -114,12 +113,12 @@ def _chain(op, guards, seq, body: Formula) -> Formula:
     return body
 
 
-def _guard_check(kind, m, edge_guard, world_guard):
+def _guard_check(kind, m, guard=GUARD):
     if kind not in DOMAINS:
         raise ValueError(f"no characteristic formula for kind {kind!r}")
     domain = DOMAINS[kind]
     size = len(domain.every(m))
-    guard, name = (edge_guard, "R") if domain is EDGE else (world_guard, "W")
+    name = "R" if domain is EDGE else "W"
     if size > guard:
         raise SizeGuardError(
             f"characteristic formula guard exceeded: |{name}|={size} > {guard}"
@@ -170,14 +169,10 @@ def _char_layers(kind: str, m: KripkeModel):
     return e_of(()), layers, last
 
 
-def build_char(
-    kind: str,
-    m: KripkeModel,
-    edge_guard: int = DEFAULT_EDGE_GUARD,
-    world_guard: int = DEFAULT_WORLD_GUARD,
-) -> Formula:
-    """The kind's characteristic formula of ``m`` (a shared-subterm DAG)."""
-    _guard_check(kind, m, edge_guard, world_guard)
+def build_char(kind: str, m: KripkeModel, guard: int = GUARD) -> Formula:
+    """The kind's characteristic formula of ``m`` (a shared-subterm DAG);
+    ``guard`` bounds its edges (``s``/``g``) or worlds (``d``/``r``)."""
+    _guard_check(kind, m, guard)
     base, layers, last = _char_layers(kind, m)
     parts = [base]
     for existential, universal in layers:
@@ -190,25 +185,18 @@ def build_char(
 class ExpandedModel:
     """A target model extended with the source model's tag atoms."""
 
-    base: PointedModel
     fresh_valuation: tuple[tuple[str, tuple[str, ...]], ...]
     expanded: PointedModel
 
 
-def canonical_expansion(
-    kind: str,
-    m: PointedModel,
-    n: PointedModel,
-    max_worlds: int = DEFAULT_MAX_WORLDS,
-    max_edges: int = DEFAULT_MAX_EDGES,
-) -> ExpandedModel:
+def canonical_expansion(kind: str, m: PointedModel, n: PointedModel) -> ExpandedModel:
     """Expand ``n`` with tags: ``@x`` holds at u iff (m,x) is kind-bisimilar
     to (n,u).
 
     Initial-language propositions of ``m`` that ``n`` does not declare are
     declared false everywhere, mirroring the checkers' atom convention.
     """
-    guard_size("expansion", (m, n), max_worlds, max_edges)
+    guard_size("expansion", (m, n), DEFAULT_MAX_WORLDS, DEFAULT_MAX_EDGES)
     fresh = {fresh_atom(x) for x in m.model.worlds}
     declared = set(m.model.propositions) | set(n.model.propositions)
     clash = sorted(fresh & declared)
@@ -219,7 +207,8 @@ def canonical_expansion(
         members = tuple(
             u
             for u in n.model.worlds
-            if check(kind, PointedModel(m.model, x), PointedModel(n.model, u)).answer
+            if check(kind, PointedModel(m.model, x), PointedModel(n.model, u),
+                     use_cache=True).answer
         )
         fresh_val.append((fresh_atom(x), members))
     valuation = {p: ws for p, ws in n.model.valuation}
@@ -232,33 +221,24 @@ def canonical_expansion(
         valuation,
     )
     return ExpandedModel(
-        base=n,
         fresh_valuation=tuple(fresh_val),
         expanded=PointedModel.make(model, n.point),
     )
 
 
-def char_check(
-    kind: str,
-    m: PointedModel,
-    n: PointedModel,
-    edge_guard: int = DEFAULT_EDGE_GUARD,
-    world_guard: int = DEFAULT_WORLD_GUARD,
-    max_worlds: int = DEFAULT_MAX_WORLDS,
-    max_edges: int = DEFAULT_MAX_EDGES,
-) -> bool:
+def char_check(kind: str, m: PointedModel, n: PointedModel) -> bool:
     """Truth of (characteristic formula of m) and m's point tag on the
     canonically expanded n; equivalent to the kind's bisimilarity verdict.
 
     A size mismatch (edge count for s/g, world count for d/r) short-circuits
     to false, which the terminal clause would enforce in one direction only.
     """
-    _guard_check(kind, m.model, edge_guard, world_guard)
-    _guard_check(kind, n.model, edge_guard, world_guard)
+    _guard_check(kind, m.model)
+    _guard_check(kind, n.model)
     every = DOMAINS[kind].every
     if len(every(m.model)) != len(every(n.model)):
         return False
-    char = build_char(kind, m.model, edge_guard, world_guard)
-    expansion = canonical_expansion(kind, m, n, max_worlds, max_edges)
+    char = build_char(kind, m.model)
+    expansion = canonical_expansion(kind, m, n)
     goal = And(char, Atom(fresh_atom(m.point)))
     return evaluate(expansion.expanded, goal, cache={})

@@ -34,17 +34,28 @@ def _load(path: str) -> PointedModel:
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload, separators=(",", ":")))
+    """Print ``json.dumps(payload, separators=(",", ":"))``, encoding a
+    witness one ``cause`` level at a time: ``json.dumps`` recurses once per
+    level, and a modal witness can be thousands of levels deep."""
+    heads, tails, key = [], [], "witness"
+    while isinstance(payload, dict) and isinstance(payload.get(key), dict):
+        # The level's one dict is the payload itself, and quotes inside
+        # strings are escaped, so the placeholder is found exactly once.
+        level = json.dumps({**payload, key: 0}, separators=(",", ":"))
+        head, _, tail = level.partition(f'"{key}":0')
+        heads.append(f'{head}"{key}":')
+        tails.append(tail)
+        payload, key = payload[key], "cause"
+    tails.reverse()
+    print("".join(heads) + json.dumps(payload, separators=(",", ":")) + "".join(tails))
 
 
 def _cmd_check(args) -> int:
     a, b = _load(args.model_a), _load(args.model_b)
     verdict = check(args.kind, a, b, use_cache=args.cache)
-    out = {"answer": "yes" if verdict.answer else "no"}
-    if args.stats:
-        out["max_depth"] = verdict.max_depth
-        out["calls"] = verdict.calls
-    out["witness"] = verdict.witness
+    out = verdict.to_json()
+    if not args.stats:
+        del out["max_depth"], out["calls"]
     if args.oracle:
         reference = oracle_bisimilar(args.kind, a, b)
         out["oracle"] = "yes" if reference.answer else "no"
@@ -69,7 +80,7 @@ def _cmd_charform(args) -> int:
 def _cmd_charcheck(args) -> int:
     a, b = _load(args.model_a), _load(args.model_b)
     formula_verdict = char_check(args.kind, a, b)
-    checker_verdict = check(args.kind, a, b).answer
+    checker_verdict = check(args.kind, a, b, use_cache=True).answer
     out = {
         "char_check": formula_verdict,
         "check": "yes" if checker_verdict else "no",

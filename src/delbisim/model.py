@@ -236,7 +236,8 @@ def load_model(text: str) -> PointedModel:
     """Parse the JSON model format into a validated pointed model."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also an integer too long to convert, or nesting too deep to decode
         raise ModelError(f"parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ModelError("parse error: top level must be a JSON object")

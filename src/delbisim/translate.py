@@ -19,7 +19,7 @@ it does not assert them.
 
 from __future__ import annotations
 
-from .bisim import d_bisimilar, filtered_check, random_model, s_bisimilar
+from .bisim import check, filtered_check, random_model
 from .model import KripkeModel, ModelError, PointedModel, save_model
 
 EDGE_WORLD_SEP = "·"  # middle dot, as in "u·v·i"
@@ -77,14 +77,6 @@ def translate_G(m: KripkeModel, edges_to_sink: str = "literal") -> KripkeModel:
     )
 
 
-def _translate_pointed_F(pm: PointedModel) -> PointedModel:
-    return PointedModel.make(translate_F(pm.model), pm.point)
-
-
-def _translate_pointed_G(pm: PointedModel, mode: str) -> PointedModel:
-    return PointedModel.make(translate_G(pm.model, mode), pm.point)
-
-
 def correspondence_report(
     seed: int,
     count: int,
@@ -104,17 +96,13 @@ def correspondence_report(
     for index in range(count):
         a = random_model(seed + 2 * index, max_worlds, max_edges, prop_pool)
         b = random_model(seed + 2 * index + 1, max_worlds, max_edges, prop_pool)
-        s_native = s_bisimilar(a, b).answer
-        s_translated = filtered_check(
-            "r", _translate_pointed_F(a), _translate_pointed_F(b), world_prop="i"
-        ).answer
-        d_native = d_bisimilar(a, b).answer
-        d_translated = filtered_check(
-            "g",
-            _translate_pointed_G(a, "intent"),
-            _translate_pointed_G(b, "intent"),
-            edge_prop="j",
-        ).answer
+        split = [PointedModel.make(translate_F(pm.model), pm.point) for pm in (a, b)]
+        sunk = [PointedModel.make(translate_G(pm.model, "intent"), pm.point)
+                for pm in (a, b)]
+        s_native = check("s", a, b).answer
+        s_translated = filtered_check("r", *split, "i").answer
+        d_native = check("d", a, b).answer
+        d_translated = filtered_check("g", *sunk, "j").answer
         rows.append(
             {
                 "index": index,

@@ -1,7 +1,8 @@
+import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from delbisim import (
     KINDS,
@@ -14,7 +15,6 @@ from delbisim import (
     oracle_bisimilar,
     random_formula,
     random_model,
-    s_bisimilar,
     validate,
 )
 from delbisim.model import SizeGuardError
@@ -42,7 +42,7 @@ def test_identity_is_bisimilar(kind, loop):
 
 
 def test_edge_count_gate(loop, cycle2):
-    verdict = s_bisimilar(loop, cycle2)
+    verdict = check("s", loop, cycle2)
     assert not verdict.answer
     assert verdict.witness["condition"] == "edge-count"
     assert verdict.witness["left"] == 1
@@ -83,7 +83,7 @@ def test_golden_pair(kind, golden_a, golden_b):
 
 
 def test_golden_pair_witnesses(golden_a, golden_b):
-    verdict = s_bisimilar(golden_a, golden_b)
+    verdict = check("s", golden_a, golden_b)
     assert verdict.witness["condition"] in (
         "zig-del",
         "zag-del",
@@ -111,7 +111,7 @@ def test_modal_atom_witness():
 
 
 def test_verdict_json_shape(loop, cycle2):
-    doc = s_bisimilar(loop, cycle2).to_json()
+    doc = check("s", loop, cycle2).to_json()
     assert doc["answer"] == "no"
     assert set(doc) == {"answer", "max_depth", "calls", "witness"}
 
@@ -171,6 +171,69 @@ def test_cache_bit_identical_on_dense_identity():
             == check(kind, a, a, use_cache=True).answer
             is True
         )
+
+
+def _assert_paths_extend(verdict):
+    """Every ``cause`` is one step further than its parent, from the root."""
+    node = verdict.witness
+    assert node["path"] == []
+    while node.get("cause") is not None:
+        child = node["cause"]
+        assert child["path"][:-1] == node["path"]
+        assert child["path"][-1][0] in ("move", "del", "endpoint")
+        node = child
+    assert len(node["path"]) <= verdict.max_depth
+
+
+def _near_miss(seed, worlds):
+    """A random model and a copy with one edge retargeted and the point moved."""
+    a = random_model(seed, worlds, 3)
+    rng = random.Random(seed)
+    m = a.model
+    edges = list(m.edges)
+    if edges:
+        i = rng.randrange(len(edges))
+        free = [(edges[i][0], v) for v in m.worlds if (edges[i][0], v) not in edges]
+        if free:
+            edges[i] = rng.choice(free)
+    b = KripkeModel.make(m.worlds, edges, m.propositions, dict(m.valuation))
+    return a, PointedModel.make(b, rng.choice(m.worlds))
+
+
+@pytest.mark.parametrize("kind", ("s", "d"))
+def test_cached_witness_paths_are_the_uncached_ones(kind):
+    # A memo hit used to return the witness of the call that first computed
+    # it, with that call's paths: under ``[["del","w3","w0"]]`` the ``d``
+    # witness printed a cause at ``[["del","w1","w0"],["del","w3","w1"]]``.
+    ws = ["w0", "w1", "w2", "w3"]
+    a, b = (
+        PointedModel.make(KripkeModel.make(ws, edges, ["p"], {"p": ["w0"]}), "w2")
+        for edges in ([("w0", "w1"), ("w1", "w0"), ("w2", "w0")],
+                      [("w0", "w1"), ("w1", "w2"), ("w2", "w0")])
+    )
+    cached = check(kind, a, b, use_cache=True)
+    uncached = check(kind, a, b, use_cache=False)
+    assert (cached.answer, cached.witness) == (uncached.answer, uncached.witness)
+    _assert_paths_extend(cached)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(RECURSIVE))
+# seeds whose cached witnesses had stale paths
+@example(21, "s")
+@example(177, "g")
+@example(793, "r")
+def test_cached_witness_paths_extend_their_parents(seed, kind):
+    # For g and r only the path rule: an uncached sub-search may discharge
+    # a configuration that is still on the stack where a memo hit cannot.
+    # r on four worlds can search for 20 s, so it gets three.
+    a, b = _near_miss(seed, 3 if kind == "r" else 4)
+    cached = check(kind, a, b, use_cache=True)
+    if not cached.answer:
+        _assert_paths_extend(cached)
+    if kind in ("s", "d"):
+        uncached = check(kind, a, b, use_cache=False)
+        assert (cached.answer, cached.witness) == (uncached.answer, uncached.witness)
 
 
 @settings(max_examples=60, deadline=None)

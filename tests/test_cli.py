@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from delbisim import check, save_model
 from delbisim.cli import main
@@ -207,3 +210,55 @@ def test_crash_is_exit_2_not_a_verdict(capsys, tmp_path):
     assert out == ""
     assert "Traceback" not in err
     assert "RecursionError" in json.loads(err)["error"]
+
+
+def test_deep_witness_prints(capsys, tmp_path):
+    # The witness of a 1000-cycle against a self-loop nests 999 ``cause``
+    # levels, deeper than json.dumps recurses by default.
+    import sys
+
+    from delbisim import KripkeModel, PointedModel
+
+    ws = [f"w{i}" for i in range(1000)]
+    cycle = KripkeModel.make(ws, [(ws[i], ws[(i + 1) % 1000]) for i in range(1000)],
+                             ["p"], {"p": ["w0"]})
+    pair = (PointedModel.make(cycle, "w1"),
+            PointedModel.make(KripkeModel.make(["v"], [("v", "v")]), "v"))
+    for name, pm in zip("ab", pair):
+        (tmp_path / f"{name}.json").write_text(save_model(pm))
+    code, out, err = run(capsys, "check", "--kind", "modal",
+                         str(tmp_path / "a.json"), str(tmp_path / "b.json"))
+    assert (code, err) == (1, "")
+    doc = check("modal", *pair).to_json()
+    del doc["max_depth"], doc["calls"]
+    assert out.count('"cause":{') == 999
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20000)
+    try:
+        expected = json.dumps(doc, separators=(",", ":"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out == expected + "\n"
+
+
+_TEXT = st.sampled_from(['"cause":0', '"witness":0', '\\', '"', "é"]) | st.text(max_size=4)
+
+
+@given(st.lists(st.tuples(_TEXT, st.lists(_TEXT, max_size=2)), max_size=4),
+       st.booleans(), st.booleans())
+def test_witness_output_is_json_dumps(levels, leaf_cause, oracle):
+    from delbisim.cli import _emit
+
+    witness = {"condition": "atom", "prop": "p", "at": ["w", "v"], "path": []}
+    if leaf_cause:
+        witness["cause"] = None
+    for item, path in levels:
+        witness = {"condition": "zig-dia", "item": item, "at": path,
+                   "path": [path], "cause": witness}
+    payload = {"answer": "no", "witness": witness}
+    if oracle:
+        payload.update(oracle="no", match=True)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(payload)
+    assert out.getvalue() == json.dumps(payload, separators=(",", ":")) + "\n"

@@ -103,19 +103,19 @@ CASES = (
 # (kind, a, b, translation, restriction): deletions restricted to items
 # whose target world satisfies the proposition.
 FILTERED = (
-    *(("r", f"r{s}", f"r{s + 1}", "F", {"world_prop": "i"}) for s in (226, 282)),
-    *(("g", f"r{s}", f"r{s + 1}", "G", {"edge_prop": "j"}) for s in (226, 282)),
-    ("r", "golden_a", "golden_b", "F", {"world_prop": "i"}),
-    ("g", "golden_a", "golden_b", "G", {"edge_prop": "j"}),
-    ("s", "golden_a", "golden_b", "G", {"edge_prop": "j"}),
-    ("d", "golden_a", "golden_b", "F", {"world_prop": "i"}),
+    *(("r", f"r{s}", f"r{s + 1}", "F", "i") for s in (226, 282)),
+    *(("g", f"r{s}", f"r{s + 1}", "G", "j") for s in (226, 282)),
+    ("r", "golden_a", "golden_b", "F", "i"),
+    ("g", "golden_a", "golden_b", "G", "j"),
+    ("s", "golden_a", "golden_b", "G", "j"),
+    ("d", "golden_a", "golden_b", "F", "i"),
     # The restricted world-count gate counts deletable worlds, and the
     # current world is never deletable.  q holds at the left current world
     # and not at the right one, so counting every q-world instead would
     # change the failing condition (atom against world-count).
-    ("d", "qa", "qb", None, {"world_prop": "q"}),
-    ("d", "qa", "qc", None, {"world_prop": "q"}),
-    ("r", "qa", "qc", None, {"world_prop": "q"}),
+    ("d", "qa", "qb", None, "q"),
+    ("d", "qa", "qc", None, "q"),
+    ("r", "qa", "qc", None, "q"),
 )
 
 
@@ -147,7 +147,7 @@ def _filtered(models, case):
         kind,
         _translated(models[a], translation),
         _translated(models[b], translation),
-        **restriction,
+        restriction,
     ).to_json()
 
 

@@ -194,3 +194,42 @@ def test_random_model_round_trips(seed):
     pm = random_model(seed, 3, 4, ("p", "q"))
     assert validate(pm) == []
     assert load_model(save_model(pm)) == pm
+
+
+def test_load_refuses_nesting_too_deep_to_decode():
+    for text in ("[" * 100000, '{"worlds":' + "[" * 100000 + "]" * 100000 + "}"):
+        with pytest.raises(ModelError, match="parse error"):
+            load_model(text)
+
+
+def _loads_or_refuses(text):
+    try:
+        pm = load_model(text)
+    except ModelError:
+        return
+    assert validate(pm) == []
+
+
+@given(st.text())
+def test_load_any_text_loads_or_is_refused(text):
+    _loads_or_refuses(text)
+
+
+_NAMES = st.sampled_from(["w", "v"]) | st.text(max_size=2)
+_ANY = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _NAMES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_NAMES, inner, max_size=3),
+    max_leaves=12,
+)
+_NAME_LISTS = st.lists(_NAMES, max_size=3)
+
+
+@given(st.fixed_dictionaries({
+    "worlds": _ANY | _NAME_LISTS,
+    "edges": _ANY | st.lists(st.lists(_NAMES, min_size=2, max_size=2), max_size=3),
+    "propositions": _ANY | _NAME_LISTS,
+    "valuation": _ANY | st.dictionaries(_NAMES, _NAME_LISTS, max_size=2),
+    "point": _ANY | _NAMES,
+}))
+def test_load_any_json_under_the_keys_loads_or_is_refused(doc):
+    _loads_or_refuses(json.dumps(doc))
