@@ -91,16 +91,12 @@ class _Checker:
     def __init__(self, kind, use_cache=False, prop=None):
         if kind not in DOMAINS:
             raise ValueError(f"unknown bisimilarity kind {kind!r}")
-        domain = DOMAINS[kind]
-        self.every = domain.every
-        self.items = domain.items
-        self.show = domain.show
-        self.ends = domain.ends if kind in GENERALIZED else None
+        self.domain = DOMAINS[kind]
+        self.ends = self.domain.ends if kind in GENERALIZED else None
         # Resolved per run rather than stored in the table, so that
         # instrumentation replacing the module-level names sees every call.
-        self.delete = delete_edge if domain is EDGE else delete_point
+        self.delete = delete_edge if self.domain is EDGE else delete_point
         self.prop = prop
-        self.count_condition = f"{domain.seq}-count"
         self.calls = 0
         self.max_depth = 0
         self.memo = {} if use_cache else None
@@ -143,13 +139,14 @@ class _Checker:
     def _body(self, m1, w1, m2, w2, visited, depth):
         # Unrestricted, the count gate compares whole models; restricted, it
         # compares deletable items, which never include the current world.
+        domain = self.domain
         if self.prop is None:
-            n1, n2 = len(self.every(m1)), len(self.every(m2))
+            n1, n2 = len(domain.every(m1)), len(domain.every(m2))
         else:
-            n1 = len(self.items(m1, w1, self.prop))
-            n2 = len(self.items(m2, w2, self.prop))
+            n1 = len(domain.items(m1, w1, self.prop))
+            n2 = len(domain.items(m2, w2, self.prop))
         if n1 != n2:
-            return False, {"condition": self.count_condition, "left": n1,
+            return False, {"condition": f"{domain.seq}-count", "left": n1,
                            "right": n2, "at": [w1, w2], "path": None}, set()
 
         bad = _atom_mismatch(m1, w1, m2, w2, self.props)
@@ -158,8 +155,8 @@ class _Checker:
                            "at": [w1, w2], "path": None}, set()
 
         ok, wit, used = self._zigzag(m1, w1, m2, w2,
-                                     self.items(m1, w1, self.prop),
-                                     self.items(m2, w2, self.prop), None,
+                                     domain.items(m1, w1, self.prop),
+                                     domain.items(m2, w2, self.prop), None,
                                      depth)
         if ok and (w1, w2) not in visited:
             ok, wit, u = self._zigzag(m1, w1, m2, w2, m1.successors(w1),
@@ -205,7 +202,7 @@ class _Checker:
                 else:
                     side = "zig" if forward else "zag"
                     if grown is None:
-                        cond, item = f"{side}-del", self.show(c_out)
+                        cond, item = f"{side}-del", self.domain.show(c_out)
                     else:
                         cond, item = f"{side}-dia", c_out
                     return False, {"condition": cond, "item": item,
@@ -225,7 +222,7 @@ class _Checker:
         ok, wit, u = self._rec(self.delete(m1, i1), w1, self.delete(m2, i2),
                                w2, frozenset(), depth + 1)
         used |= u
-        return ok, (["del", self.show(i1), self.show(i2)], wit), used
+        return ok, (["del", self.domain.show(i1), self.domain.show(i2)], wit), used
 
 
 def _with_paths(wit):
@@ -332,6 +329,8 @@ def random_model(seed: int, max_worlds: int, max_edges: int,
     """A deterministic random pointed model within the given bounds."""
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
+    if max_edges < 0:
+        raise ValueError("max_edges must be at least 0")
     rng = random.Random(seed)
     n = rng.randint(1, max_worlds)
     worlds = [f"w{i}" for i in range(n)]

@@ -8,9 +8,10 @@ existential clause for every sequence of pairwise-distinct items and a
 universal clause, closing with a clause forbidding one deletion too many.
 
 The four deletion kinds differ only in their deletion domain
-(``bisim.DOMAINS``: which items a sequence deletes and how many must remain)
-and in their pair of deletion modalities (``_MODALITIES``); one
-``_chain`` function nests the modalities for all of them.
+(``bisim.DOMAINS``: which items a sequence deletes, how many must remain and
+the pair of modalities that delete them) and in whether those modalities are
+guarded (``g``/``r``); one ``_chain`` function nests the modalities for all
+of them.
 
 Sub-formulas for a given deleted item set are shared, so the result is a
 DAG; printing it materializes the tree and can be large.
@@ -18,28 +19,21 @@ DAG; printing it materializes the tree and can be large.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
-from .bisim import DOMAINS, check
+from .bisim import DOMAINS, GENERALIZED, check
 from .formula import (
+    _GUARDS,
+    _MODAL,
     And,
     Atom,
     Bot,
     Box,
     Dia,
     Formula,
-    GRem,
-    GRemBox,
-    GSab,
-    GSabBox,
     Imp,
     Not,
     Or,
-    Rem,
-    RemBox,
-    Sab,
-    SabBox,
     Top,
 )
 from .model import (
@@ -96,16 +90,6 @@ def build_E(m: KripkeModel) -> Formula:
     return big_and(conjuncts)
 
 
-# kind -> (existential, universal, guards): the generalized modalities guard
-# a deletion with one formula per endpoint of the deleted item.
-_MODALITIES = {
-    "s": (Sab, SabBox, 0),
-    "g": (GSab, GSabBox, 2),
-    "d": (Rem, RemBox, 0),
-    "r": (GRem, GRemBox, 1),
-}
-
-
 def _chain(op, guards, seq, body: Formula) -> Formula:
     """``op`` once per item of ``seq``, the first item outermost."""
     for item in reversed(seq):
@@ -133,7 +117,11 @@ def _char_layers(kind: str, m: KripkeModel):
     formula is built once and shared.
     """
     domain = DOMAINS[kind]
-    existential_op, universal_op, guards = _MODALITIES[kind]
+    # the generalized modalities guard a deletion with one formula per
+    # endpoint of the deleted item
+    guards = _GUARDS[domain.dia] if kind in GENERALIZED else 0
+    existential_op = _MODAL[domain.dia, guards]
+    universal_op = _MODAL[domain.box, guards]
     items = domain.every(m)
     last_len = len(items) - domain.keep + 1
     e_cache: dict[frozenset, Formula] = {}
@@ -181,15 +169,7 @@ def build_char(kind: str, m: KripkeModel, guard: int = GUARD) -> Formula:
     return big_and(parts)
 
 
-@dataclass(frozen=True)
-class ExpandedModel:
-    """A target model extended with the source model's tag atoms."""
-
-    fresh_valuation: tuple[tuple[str, tuple[str, ...]], ...]
-    expanded: PointedModel
-
-
-def canonical_expansion(kind: str, m: PointedModel, n: PointedModel) -> ExpandedModel:
+def canonical_expansion(kind: str, m: PointedModel, n: PointedModel) -> PointedModel:
     """Expand ``n`` with tags: ``@x`` holds at u iff (m,x) is kind-bisimilar
     to (n,u).
 
@@ -202,28 +182,22 @@ def canonical_expansion(kind: str, m: PointedModel, n: PointedModel) -> Expanded
     clash = sorted(fresh & declared)
     if clash:
         raise ModelError(f"tag atoms collide with declared propositions: {clash}")
-    fresh_val = []
+    valuation = {p: ws for p, ws in n.model.valuation}
+    valuation.update({p: () for p in m.model.propositions if p not in valuation})
     for x in m.model.worlds:
-        members = tuple(
+        valuation[fresh_atom(x)] = [
             u
             for u in n.model.worlds
             if check(kind, PointedModel(m.model, x), PointedModel(n.model, u),
                      use_cache=True).answer
-        )
-        fresh_val.append((fresh_atom(x), members))
-    valuation = {p: ws for p, ws in n.model.valuation}
-    valuation.update({p: () for p in m.model.propositions if p not in valuation})
-    valuation.update(dict(fresh_val))
+        ]
     model = KripkeModel.make(
         n.model.worlds,
         n.model.edges,
         sorted(declared | fresh),
         valuation,
     )
-    return ExpandedModel(
-        fresh_valuation=tuple(fresh_val),
-        expanded=PointedModel.make(model, n.point),
-    )
+    return PointedModel.make(model, n.point)
 
 
 def char_check(kind: str, m: PointedModel, n: PointedModel) -> bool:
@@ -239,6 +213,6 @@ def char_check(kind: str, m: PointedModel, n: PointedModel) -> bool:
     if len(every(m.model)) != len(every(n.model)):
         return False
     char = build_char(kind, m.model)
-    expansion = canonical_expansion(kind, m, n)
+    expanded = canonical_expansion(kind, m, n)
     goal = And(char, Atom(fresh_atom(m.point)))
-    return evaluate(expansion.expanded, goal, cache={})
+    return evaluate(expanded, goal, cache={})

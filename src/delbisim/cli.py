@@ -117,6 +117,8 @@ def _cmd_sweep(args) -> int:
     for kind in kinds:
         if kind not in DELETION_KINDS:
             raise ModelError(f"sweep: unknown kind {kind!r}")
+    if args.count < 0:
+        raise ValueError("sweep: count must be at least 0")
     props = tuple(args.props.split(","))
     mismatches = 0
     for index in range(args.count):

@@ -208,13 +208,17 @@ def modal_depth(f: Formula) -> int:
 
 _CONSTANT_TEXT = {Top: "true", Bot: "false"}
 _BINOP_TEXT = {And: "&", Or: "|", Imp: "->"}
+_IDENT = re.compile(r"[A-Za-z_@][A-Za-z0-9_@]*")
 
 
 def format_formula(f: Formula) -> str:
-    """Canonical text form; ``parse_formula`` inverts it exactly."""
+    """Canonical text form, which ``parse_formula`` inverts exactly; raises
+    ``ValueError`` for an atom whose name would not parse back as that atom."""
     if type(f) in _CONSTANT_TEXT:
         return _CONSTANT_TEXT[type(f)]
     if isinstance(f, Atom):
+        if not _IDENT.fullmatch(f.name) or f.name in _CONSTANT or f.name in _GUARDS:
+            raise ValueError(f"atom {f.name!r} would not parse back as an atom")
         return f.name
     if isinstance(f, Not):
         return f"~{format_formula(f.body)}"
@@ -238,7 +242,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z_@][A-Za-z0-9_@]*|->|[~&|(){}]|\S")
+_TOKEN_RE = re.compile(rf"{_IDENT.pattern}|->|[~&|(){{}}]|\S")
 _CONSTANT = {text: cls for cls, text in _CONSTANT_TEXT.items()}
 _BINOP = {text: cls for cls, text in _BINOP_TEXT.items()}
 # (keyword, guard count) -> class; keyword -> its largest guard count.
@@ -306,7 +310,7 @@ class _Parser:
                     guards.append(self.formula())
                 self.take("}")
             return _MODAL[tok, len(guards)](*guards, self.formula())
-        if re.fullmatch(r"[A-Za-z_@][A-Za-z0-9_@]*", tok):
+        if _IDENT.fullmatch(tok):
             self.take()
             return Atom(tok)
         self.error(f"unknown token {tok!r}")

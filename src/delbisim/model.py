@@ -197,7 +197,8 @@ class Domain(NamedTuple):
     edge, one world).  ``ends(item)`` are the worlds an item touches:
     ``(u, v)`` for an edge, ``(v,)`` for a world.  ``show(item)`` is an
     item's witness form.  ``seq`` names the domain as a
-    :class:`DeletionSequence` kind.
+    :class:`DeletionSequence` kind.  ``dia`` and ``box`` are the keywords of
+    the modalities that delete its items.
     """
 
     seq: str
@@ -206,6 +207,8 @@ class Domain(NamedTuple):
     items: Callable
     ends: Callable
     show: Callable
+    dia: str
+    box: str
 
 
 def _edges(m: KripkeModel, w, prop):
@@ -228,8 +231,8 @@ def _alone(v):
     return (v,)
 
 
-EDGE = Domain("edge", 0, attrgetter("edges"), _edges, _same, list)
-POINT = Domain("world", 1, attrgetter("worlds"), _worlds, _alone, _same)
+EDGE = Domain("edge", 0, attrgetter("edges"), _edges, _same, list, "sab", "sbox")
+POINT = Domain("world", 1, attrgetter("worlds"), _worlds, _alone, _same, "rem", "rbox")
 
 
 def load_model(text: str) -> PointedModel:

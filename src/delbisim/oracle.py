@@ -21,13 +21,10 @@ from __future__ import annotations
 from functools import cache
 
 from .bisim import DOMAINS, GENERALIZED, KINDS, Verdict, _atom_mismatch
-from .model import Domain, PointedModel, SizeGuardError
+from .model import PointedModel, SizeGuardError
 
 DEFAULT_MAX_WORLDS = 5
 DEFAULT_MAX_EDGES = 6
-
-# modal bisimilarity: nothing is deletable, so only the initial pair exists
-_NO_DELETION = Domain(None, 0, lambda m: (), None, None, None)
 
 
 def guard_size(what: str, pms, max_worlds: int, max_edges: int) -> None:
@@ -50,8 +47,9 @@ def oracle_bisimilar(
     guard_size("oracle", (a, b), max_worlds, max_edges)
     if kind not in KINDS:
         raise ValueError(f"unknown bisimilarity kind {kind!r}")
-    domain = DOMAINS.get(kind, _NO_DELETION)
-    ends = domain.ends if kind in GENERALIZED else None
+    # modal deletes nothing, so only the initial pair exists
+    every = DOMAINS[kind].every if kind in DOMAINS else lambda m: ()
+    ends = DOMAINS[kind].ends if kind in GENERALIZED else None
     m1, m2 = a.model, b.model
     props = sorted(set(m1.propositions) | set(m2.propositions))
     atoms_ok = {
@@ -59,8 +57,8 @@ def oracle_bisimilar(
         for x in m1.worlds
         for y in m2.worlds
     }
-    at1 = _submodels(m1, domain.every(m1))
-    at2 = _submodels(m2, domain.every(m2))
+    at1 = _submodels(m1, every(m1))
+    at2 = _submodels(m2, every(m2))
     checks = 0
 
     @cache

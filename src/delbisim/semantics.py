@@ -15,18 +15,12 @@ from dataclasses import fields
 from .formula import _KEYWORD, And, Atom, Bot, Box, Dia, Formula, Imp, Not, Or, Top
 from .model import EDGE, POINT, KripkeModel, PointedModel, delete_edge, delete_point
 
-# deletion keyword -> (domain, whether it is a box over its items); a guarded
-# modality shares its unguarded twin's keyword, and so its entry
-_DELETION = {
-    "sab": (EDGE, False),
-    "sbox": (EDGE, True),
-    "rem": (POINT, False),
-    "rbox": (POINT, True),
-}
-# deletion modality class -> (domain, whether a box, its guard fields)
+# deletion modality class -> (domain, whether a box, its guard fields); the
+# box flag is a bool because an empty quantifier returns it as the value
 _DELETIONS = {
-    cls: (*_DELETION[kw], [x.name for x in fields(cls)][:-1])
-    for cls, kw in _KEYWORD.items() if kw in _DELETION
+    cls: (domain, kw == domain.box, [x.name for x in fields(cls)][:-1])
+    for cls, kw in _KEYWORD.items()
+    for domain in (EDGE, POINT) if kw in (domain.dia, domain.box)
 }
 
 

@@ -92,6 +92,8 @@ def correspondence_report(
     restricted to edges into the sink.  The restricted checkers compare
     deletable-item counts in their size gate.
     """
+    if count < 0:
+        raise ValueError("count must be at least 0")
     rows = []
     for index in range(count):
         a = random_model(seed + 2 * index, max_worlds, max_edges, prop_pool)

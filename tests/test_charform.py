@@ -128,31 +128,31 @@ def test_big_and_empty_is_top():
 
 
 def test_canonical_expansion_identity(loop):
-    expansion = canonical_expansion("s", loop, loop)
-    assert dict(expansion.fresh_valuation) == {"@w": ("w",)}
+    expanded = canonical_expansion("s", loop, loop)
+    assert expanded.model.propositions == ("@w", "p")
+    assert expanded.model.val("@w") == {"w"}
     # base valuation is untouched on initial-language atoms
-    assert expansion.expanded.model.val("p") == loop.model.val("p")
+    assert expanded.model.val("p") == loop.model.val("p")
 
 
 def test_canonical_expansion_atom_mismatch(loop):
     other = PointedModel.make(
         KripkeModel.make(["w"], [("w", "w")], ["p"], {}), "w"
     )
-    expansion = canonical_expansion("s", loop, other)
-    assert dict(expansion.fresh_valuation) == {"@w": ()}
+    expanded = canonical_expansion("s", loop, other)
+    assert expanded.model.val("@w") == frozenset()
 
 
 def test_canonical_expansion_golden(golden_a, golden_b):
-    expansion = canonical_expansion("s", golden_a, golden_b)
-    fresh = dict(expansion.fresh_valuation)
-    assert "z" not in fresh["@x"]
+    expanded = canonical_expansion("s", golden_a, golden_b)
+    assert "z" not in expanded.model.val("@x")
 
 
 def test_canonical_expansion_declares_missing_props(loop):
     bare = PointedModel.make(KripkeModel.make(["v"], [("v", "v")]), "v")
-    expansion = canonical_expansion("s", loop, bare)
-    assert "p" in expansion.expanded.model.propositions
-    assert expansion.expanded.model.val("p") == frozenset()
+    expanded = canonical_expansion("s", loop, bare)
+    assert "p" in expanded.model.propositions
+    assert expanded.model.val("p") == frozenset()
 
 
 def test_canonical_expansion_rejects_tag_collision(loop):

@@ -87,6 +87,16 @@ def test_charform_prints_formula(capsys, model_file):
     assert "@w" in out and "sab" in out
 
 
+def test_charform_refuses_an_atom_it_cannot_print(capsys, tmp_path):
+    # printed, the proposition "true" would read back as the constant
+    path = tmp_path / "true.json"
+    path.write_text('{"worlds":["w"],"edges":[],"propositions":["true"],'
+                    '"valuation":{},"point":"w"}')
+    code, out, err = run(capsys, "charform", "--kind", "s", str(path))
+    assert (code, out) == (2, "")
+    assert "'true'" in json.loads(err)["error"]
+
+
 def test_charform_guard_exit(capsys, tmp_path):
     from delbisim import KripkeModel, PointedModel
 
@@ -169,6 +179,23 @@ def test_sweep_rejects_unknown_kind(capsys):
     code, _, err = run(capsys, "sweep", "--kinds", "zz", "--seed", "1", "--count", "1")
     assert code == 2
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("argv, parameter", [
+    (("sweep", "--kinds", "s", "--seed", "1", "--count", "-3"), "count"),
+    (("translate-report", "--seed", "1", "--count", "-1"), "count"),
+    (("random", "--seed", "1", "--worlds", "3", "--edges", "-1"), "max_edges"),
+])
+def test_negative_count_or_edge_bound_is_refused(capsys, argv, parameter):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert parameter in json.loads(err)["error"]
+
+
+def test_zero_count_is_valid(capsys):
+    code, out, _ = run(capsys, "sweep", "--kinds", "s", "--seed", "1", "--count", "0")
+    assert code == 0
+    assert json.loads(out)["pairs"] == 0
 
 
 def test_missing_file_is_usage_error(capsys):

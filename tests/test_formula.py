@@ -49,6 +49,16 @@ def test_print_rbox_bot():
     assert format_formula(RemBox(Bot())) == "rbox false"
 
 
+# keywords, a name with a character outside the grammar, the empty name and
+# names that would split into several tokens
+@pytest.mark.parametrize("name", ["true", "false", "dia", "box", "sab", "sbox",
+                                  "rem", "rbox", "@a\u00b7b\u00b7i", "", "1p",
+                                  "p q", "p&q"])
+def test_print_refuses_atoms_it_cannot_read_back(name):
+    with pytest.raises(ValueError, match="would not parse back"):
+        format_formula(Not(Atom(name)))
+
+
 def test_parse_error_position():
     with pytest.raises(ParseError) as err:
         parse_formula("(p &")

@@ -21,7 +21,9 @@ from delbisim import (
     KripkeModel,
     PointedModel,
     filtered_check,
+    format_formula,
     load_model,
+    parse_formula,
     random_model,
     save_model,
     translate_F,
@@ -170,6 +172,16 @@ def test_cli_outputs_match_corpus(tmp_path):
         assert list(argv) == expected["argv"]
         code, out = _run(argv, paths)
         assert (code, out) == (expected["code"], expected["stdout"]), argv
+
+
+def test_printed_characteristic_formulas_parse():
+    with open(DATA, encoding="utf-8") as f:
+        recorded = json.load(f)["cases"]
+    printed = [case["stdout"] for case in recorded if case["argv"][0] == "charform"]
+    assert printed
+    for out in printed:
+        (line,) = out.splitlines()
+        assert format_formula(parse_formula(line)) == line
 
 
 def test_filtered_checks_match_corpus():
