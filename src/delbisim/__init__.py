@@ -18,7 +18,6 @@ from .formula import (
     random_formula,
 )
 from .model import (
-    DeletionSequence,
     KripkeModel,
     ModelError,
     PointedModel,
@@ -51,7 +50,6 @@ __all__ = [
     "format_formula",
     "parse_formula",
     "random_formula",
-    "DeletionSequence",
     "KripkeModel",
     "ModelError",
     "PointedModel",

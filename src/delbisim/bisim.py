@@ -143,8 +143,11 @@ class _Checker:
         if self.prop is None:
             n1, n2 = len(domain.every(m1)), len(domain.every(m2))
         else:
-            n1 = len(domain.items(m1, w1, self.prop))
-            n2 = len(domain.items(m2, w2, self.prop))
+            # keep an item iff prop holds at its target: an edge's v, a world
+            ends, prop = domain.ends, self.prop
+            items1 = [i for i in domain.items(m1, w1) if m1.true_at(prop, ends(i)[-1])]
+            items2 = [i for i in domain.items(m2, w2) if m2.true_at(prop, ends(i)[-1])]
+            n1, n2 = len(items1), len(items2)
         if n1 != n2:
             return False, {"condition": f"{domain.seq}-count", "left": n1,
                            "right": n2, "at": [w1, w2], "path": None}, set()
@@ -154,9 +157,9 @@ class _Checker:
             return False, {"condition": "atom", "prop": bad,
                            "at": [w1, w2], "path": None}, set()
 
-        ok, wit, used = self._zigzag(m1, w1, m2, w2,
-                                     domain.items(m1, w1, self.prop),
-                                     domain.items(m2, w2, self.prop), None,
+        if self.prop is None:
+            items1, items2 = domain.items(m1, w1), domain.items(m2, w2)
+        ok, wit, used = self._zigzag(m1, w1, m2, w2, items1, items2, None,
                                      depth)
         if ok and (w1, w2) not in visited:
             ok, wit, u = self._zigzag(m1, w1, m2, w2, m1.successors(w1),

@@ -19,6 +19,7 @@ DAG; printing it materializes the tree and can be large.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import permutations
 
 from .bisim import DOMAINS, GENERALIZED, check
@@ -38,11 +39,12 @@ from .formula import (
 )
 from .model import (
     EDGE,
-    DeletionSequence,
     KripkeModel,
     ModelError,
     PointedModel,
     SizeGuardError,
+    delete_edge,
+    delete_point,
 )
 from .oracle import DEFAULT_MAX_EDGES, DEFAULT_MAX_WORLDS, guard_size
 from .semantics import evaluate
@@ -97,15 +99,15 @@ def _chain(op, guards, seq, body: Formula) -> Formula:
     return body
 
 
-def _guard_check(kind, m, guard=GUARD):
+def _guard_check(kind, m):
     if kind not in DOMAINS:
         raise ValueError(f"no characteristic formula for kind {kind!r}")
     domain = DOMAINS[kind]
     size = len(domain.every(m))
     name = "R" if domain is EDGE else "W"
-    if size > guard:
+    if size > GUARD:
         raise SizeGuardError(
-            f"characteristic formula guard exceeded: |{name}|={size} > {guard}"
+            f"characteristic formula guard exceeded: |{name}|={size} > {GUARD}"
         )
 
 
@@ -117,6 +119,7 @@ def _char_layers(kind: str, m: KripkeModel):
     formula is built once and shared.
     """
     domain = DOMAINS[kind]
+    delete = delete_edge if domain is EDGE else delete_point
     # the generalized modalities guard a deletion with one formula per
     # endpoint of the deleted item
     guards = _GUARDS[domain.dia] if kind in GENERALIZED else 0
@@ -129,7 +132,7 @@ def _char_layers(kind: str, m: KripkeModel):
     def e_of(deleted: tuple) -> Formula:
         key = frozenset(deleted)
         if key not in e_cache:
-            e_cache[key] = build_E(DeletionSequence(domain.seq, deleted).apply(m))
+            e_cache[key] = build_E(reduce(delete, deleted, m))
         return e_cache[key]
 
     def tags(item) -> list[Formula]:
@@ -157,10 +160,10 @@ def _char_layers(kind: str, m: KripkeModel):
     return e_of(()), layers, last
 
 
-def build_char(kind: str, m: KripkeModel, guard: int = GUARD) -> Formula:
+def build_char(kind: str, m: KripkeModel) -> Formula:
     """The kind's characteristic formula of ``m`` (a shared-subterm DAG);
-    ``guard`` bounds its edges (``s``/``g``) or worlds (``d``/``r``)."""
-    _guard_check(kind, m, guard)
+    ``GUARD`` bounds its edges (``s``/``g``) or worlds (``d``/``r``)."""
+    _guard_check(kind, m)
     base, layers, last = _char_layers(kind, m)
     parts = [base]
     for existential, universal in layers:

@@ -15,7 +15,7 @@ from .bisim import DELETION_KINDS, KINDS, check, random_model
 from .charform import build_char, char_check
 from .formula import ParseError, format_formula, parse_formula
 from .model import ModelError, PointedModel, SizeGuardError, load_model, save_model
-from .oracle import oracle_bisimilar
+from .oracle import DEFAULT_MAX_EDGES, DEFAULT_MAX_WORLDS, oracle_bisimilar
 from .semantics import UndeclaredAtomError, evaluate
 from .translate import correspondence_report, render_report, translate_F, translate_G
 
@@ -119,6 +119,11 @@ def _cmd_sweep(args) -> int:
             raise ModelError(f"sweep: unknown kind {kind!r}")
     if args.count < 0:
         raise ValueError("sweep: count must be at least 0")
+    # random_model draws up to --worlds worlds and min(--edges, worlds^2) edges
+    worlds, edges = args.worlds, args.edges
+    if worlds > DEFAULT_MAX_WORLDS or min(edges, worlds ** 2) > DEFAULT_MAX_EDGES:
+        raise SizeGuardError(f"sweep: --worlds {worlds} --edges {edges} exceed the oracle "
+                             f"guard (limits {DEFAULT_MAX_WORLDS}/{DEFAULT_MAX_EDGES})")
     props = tuple(args.props.split(","))
     mismatches = 0
     for index in range(args.count):

@@ -192,10 +192,6 @@ def _children(f: Formula) -> tuple[Formula, ...]:
     return tuple(getattr(f, field.name) for field in fields(f))
 
 
-def atoms(f: Formula) -> set[str]:
-    return {g.name for g in walk(f) if isinstance(g, Atom)}
-
-
 def modal_depth(f: Formula) -> int:
     """Deepest nesting of modal/deletion operators (guards included)."""
     kids = _children(f)
@@ -226,7 +222,11 @@ def format_formula(f: Formula) -> str:
         op = _BINOP_TEXT[type(f)]
         return f"({format_formula(f.left)} {op} {format_formula(f.right)})"
     if type(f) in _KEYWORD:
-        *guards, body = map(format_formula, _children(f))
+        # a plain loop: a map (3.12) or a comprehension (3.11) costs a level more
+        parts = []
+        for child in _children(f):
+            parts.append(format_formula(child))
+        *guards, body = parts
         braces = "{" + "|".join(guards) + "}" if guards else ""
         return f"{_KEYWORD[type(f)]}{braces} {body}"
     raise TypeError(f"not a formula node: {f!r}")

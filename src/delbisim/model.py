@@ -11,7 +11,7 @@ formula semantics read it from there.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -92,6 +92,8 @@ class KripkeModel:
         for w in self.worlds:
             if not w:
                 out.append("worlds: empty identifier")
+        if "" in self.propositions:
+            out.append("propositions: empty name")
         return out
 
     @cached_property
@@ -130,25 +132,6 @@ class PointedModel:
         if problems:
             raise ModelError("; ".join(problems))
         return pm
-
-
-@dataclass(frozen=True)
-class DeletionSequence:
-    """An ordered list of pairwise-distinct edges or worlds to delete."""
-
-    kind: str  # "edge" or "world"
-    items: tuple = field(default=())
-
-    def __post_init__(self):
-        if self.kind not in ("edge", "world"):
-            raise ModelError(f"deletion sequence: unknown kind {self.kind!r}")
-        if len(set(self.items)) != len(self.items):
-            raise ModelError("deletion sequence: items must be pairwise distinct")
-
-    def apply(self, m: KripkeModel) -> KripkeModel:
-        for item in self.items:
-            m = delete_edge(m, item) if self.kind == "edge" else delete_point(m, item)
-        return m
 
 
 def validate(pm: PointedModel) -> list[str]:
@@ -191,14 +174,13 @@ def delete_point(m: KripkeModel, v: str) -> KripkeModel:
 class Domain(NamedTuple):
     """What one deletion removes: an edge, or a world other than the current one.
 
-    ``every(m)`` are all items of ``m``; ``items(m, w, prop)`` lists those
-    deletable at current world ``w``, only those whose target world
-    satisfies ``prop`` when it is given.  ``keep`` items always remain (no
+    ``every(m)`` are all items of ``m``; ``items(m, w)`` lists those
+    deletable at current world ``w``.  ``keep`` items always remain (no
     edge, one world).  ``ends(item)`` are the worlds an item touches:
     ``(u, v)`` for an edge, ``(v,)`` for a world.  ``show(item)`` is an
-    item's witness form.  ``seq`` names the domain as a
-    :class:`DeletionSequence` kind.  ``dia`` and ``box`` are the keywords of
-    the modalities that delete its items.
+    item's witness form.  ``seq`` names the count condition
+    (``edge-count``, ``world-count``).  ``dia`` and ``box`` are the keywords
+    of the modalities that delete its items.
     """
 
     seq: str
@@ -211,16 +193,12 @@ class Domain(NamedTuple):
     box: str
 
 
-def _edges(m: KripkeModel, w, prop):
-    if prop is None:
-        return m.edges
-    return [e for e in m.edges if m.true_at(prop, e[1])]
+def _edges(m: KripkeModel, w):
+    return m.edges
 
 
-def _worlds(m: KripkeModel, w, prop):
-    if prop is None:
-        return [u for u in m.worlds if u != w]
-    return [u for u in m.worlds if u != w and m.true_at(prop, u)]
+def _worlds(m: KripkeModel, w):
+    return [u for u in m.worlds if u != w]
 
 
 def _same(x):

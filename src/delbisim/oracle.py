@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .bisim import DOMAINS, GENERALIZED, KINDS, Verdict, _atom_mismatch
+from .bisim import DOMAINS, GENERALIZED, KINDS, Verdict
 from .model import PointedModel, SizeGuardError
 
 DEFAULT_MAX_WORLDS = 5
@@ -51,12 +51,11 @@ def oracle_bisimilar(
     every = DOMAINS[kind].every if kind in DOMAINS else lambda m: ()
     ends = DOMAINS[kind].ends if kind in GENERALIZED else None
     m1, m2 = a.model, b.model
-    props = sorted(set(m1.propositions) | set(m2.propositions))
-    atoms_ok = {
-        (x, y): _atom_mismatch(m1, x, m2, y, props) is None
-        for x in m1.worlds
-        for y in m2.worlds
-    }
+    # Two worlds agree on atoms when the same propositions hold at both; a
+    # proposition a model does not declare is false throughout it.
+    true1, true2 = ({w: {p for p, ws in m.valuation if w in ws} for w in m.worlds}
+                    for m in (m1, m2))
+    atoms_ok = {(x, y): true1[x] == true2[y] for x in m1.worlds for y in m2.worlds}
     at1 = _submodels(m1, every(m1))
     at2 = _submodels(m2, every(m2))
     checks = 0

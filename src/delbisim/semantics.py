@@ -72,7 +72,7 @@ def _ev(m: KripkeModel, w: str, f: Formula, cache: dict) -> bool:
         # looked up per call, so that instrumentation replacing them sees it
         delete = delete_edge if domain is EDGE else delete_point
         result = box
-        for item in domain.items(m, w, None):
+        for item in domain.items(m, w):
             for u, guard in zip(domain.ends(item), guard_fields):
                 if not _ev(m, u, getattr(f, guard), cache):
                     break  # failed guards satisfy a box and refute a diamond

@@ -82,7 +82,6 @@ def correspondence_report(
     count: int,
     max_worlds: int = 3,
     max_edges: int = 3,
-    prop_pool: tuple[str, ...] = ("p",),
 ) -> dict:
     """Agreement statistics between the native checks and the translated ones.
 
@@ -96,8 +95,8 @@ def correspondence_report(
         raise ValueError("count must be at least 0")
     rows = []
     for index in range(count):
-        a = random_model(seed + 2 * index, max_worlds, max_edges, prop_pool)
-        b = random_model(seed + 2 * index + 1, max_worlds, max_edges, prop_pool)
+        a = random_model(seed + 2 * index, max_worlds, max_edges)
+        b = random_model(seed + 2 * index + 1, max_worlds, max_edges)
         split = [PointedModel.make(translate_F(pm.model), pm.point) for pm in (a, b)]
         sunk = [PointedModel.make(translate_G(pm.model, "intent"), pm.point)
                 for pm in (a, b)]
@@ -141,7 +140,7 @@ def correspondence_report(
         "count": count,
         "max_worlds": max_worlds,
         "max_edges": max_edges,
-        "propositions": list(prop_pool),
+        "propositions": ["p"],  # random_model's default pool
         "edge_to_point": tally("s_native", "s_translated"),
         "point_to_edge": tally("d_native", "d_translated"),
     }

@@ -192,6 +192,43 @@ def test_negative_count_or_edge_bound_is_refused(capsys, argv, parameter):
     assert parameter in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("random", "--seed", "1", "--worlds", "1", "--edges", "0", "--props", ","),
+    ("sweep", "--kinds", "s", "--seed", "1", "--count", "2", "--props", ","),
+])
+def test_empty_proposition_name_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "propositions" in json.loads(err)["error"]
+
+
+def test_model_with_empty_proposition_name_is_refused(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"worlds":["w"],"edges":[],"propositions":[""],"valuation":{},"point":"w"}')
+    code, out, err = run(capsys, "check", "--kind", "s", str(path), str(path))
+    assert (code, out) == (2, "")
+    assert "propositions" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("worlds, edges", [("9", "2"), ("3", "7")])
+def test_sweep_refuses_bounds_past_the_oracle_guard(capsys, worlds, edges):
+    # before any pair is drawn, so no pair line precedes the refusal
+    code, out, err = run(capsys, "sweep", "--kinds", "s", "--seed", "1",
+                         "--count", "5", "--worlds", worlds, "--edges", edges)
+    assert (code, out) == (3, "")
+    error = json.loads(err)["error"]
+    assert "--worlds" in error and "--edges" in error and "5/6" in error
+
+
+@pytest.mark.parametrize("worlds, edges", [("2", "7"), ("5", "6")])
+def test_sweep_runs_within_the_oracle_guard(capsys, worlds, edges):
+    # 2 worlds have at most 4 edges, whatever --edges says
+    code, out, _ = run(capsys, "sweep", "--kinds", "s", "--seed", "1",
+                       "--count", "3", "--worlds", worlds, "--edges", edges)
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[-1])["pairs"] == 3
+
+
 def test_zero_count_is_valid(capsys):
     code, out, _ = run(capsys, "sweep", "--kinds", "s", "--seed", "1", "--count", "0")
     assert code == 0

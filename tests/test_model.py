@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from delbisim import (
-    DeletionSequence,
     KripkeModel,
     ModelError,
     PointedModel,
@@ -113,6 +112,15 @@ def test_load_rejects_undeclared_valuation_prop():
         load_model(bad)
 
 
+def test_empty_proposition_name_is_refused():
+    # no formula can name an empty atom
+    with pytest.raises(ModelError, match="propositions: empty name"):
+        KripkeModel.make(["w"], [], ["", "p"])
+    bad = '{"worlds":["w"],"edges":[],"propositions":[""],"valuation":{"":["w"]},"point":"w"}'
+    with pytest.raises(ModelError, match="propositions"):
+        load_model(bad)
+
+
 def test_load_rejects_bad_json():
     with pytest.raises(ModelError, match="parse error"):
         load_model("{nope")
@@ -149,17 +157,6 @@ def test_save_canonicalizes_order():
     assert doc["edges"] == [["a", "b"], ["b", "a"]]
     assert doc["propositions"] == ["p", "q"]
     assert doc["valuation"] == {"p": [], "q": ["a", "b"]}
-
-
-def test_deletion_sequence_rejects_repeats():
-    with pytest.raises(ModelError):
-        DeletionSequence("edge", (("a", "b"), ("a", "b")))
-
-
-def test_deletion_sequence_applies_in_order():
-    m = KripkeModel.make(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    out = DeletionSequence("world", ("b", "c")).apply(m)
-    assert out.worlds == ("a",)
 
 
 @given(st.integers(0, 10**6))
