@@ -31,6 +31,7 @@ and is cross-validated against the fixpoint oracle.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .model import EDGE, POINT, KripkeModel, PointedModel, delete_edge, delete_point
@@ -56,8 +57,8 @@ class Verdict:
     ``calls`` counts recursive calls for ``s``/``d``/``g``/``r``.  For
     ``modal`` it counts pair checks: ``|W1|*|W2|`` for the atom table plus
     the live set's size at the start of every round, i.e. the pair checks
-    of a round-by-round rescan, whichever pairs ``modal_bisimilar``
-    actually re-checks.
+    of a round-by-round rescan, though ``modal_bisimilar`` checks no pair
+    and counts them from its blocks' sizes.
     """
 
     answer: bool
@@ -242,54 +243,110 @@ def _with_paths(wit):
 
 
 def modal_bisimilar(a: PointedModel, b: PointedModel) -> Verdict:
-    """Plain modal bisimilarity via greatest fixpoint on world pairs.
+    """Plain modal bisimilarity by signature refinement of the disjoint union.
 
-    Round-synchronous predecessor worklist: round 1 checks every live pair;
-    round k+1 re-checks only the live pairs with a successor pair removed
-    in round k, since no other pair can have become violated.  Within a
-    round, pairs are visited in sorted order and judged against the live
-    set of the round's start, and the removals are applied after it, so
-    the same pairs fall in the same rounds and order as in a full rescan,
-    and the verdict, ``calls`` included, is the rescan's.
+    Level 0's blocks are the atom profiles; level k splits each block by its
+    worlds' sets of successor blocks at level k-1 (Kanellakis & Smolka's
+    naive refinement in Blom & Orzan's signature form), so a cross pair is
+    live at the start of round k of the rescan ``Verdict.calls`` counts iff
+    it shares a level-(k-1) block.  Round k re-signatures only predecessors
+    of worlds that changed block in round k-1: the rest of a block keeps the
+    old signature and the block's id, and a changed id is new, so no
+    re-signatured world rejoins them.  The live count (over blocks, left
+    times right worlds) is kept move by move, and the rounds stop when one
+    leaves it unchanged.  Each world records the rounds its block id changed
+    at; the witness chain is replayed from them.
     """
     m1, m2 = a.model, b.model
     props = sorted(set(m1.propositions) | set(m2.propositions))
-    live: set[tuple[str, str]] = set()
-    reasons: dict[tuple[str, str], dict] = {}
-    for x in m1.worlds:
-        for y in m2.worlds:
-            bad = _atom_mismatch(m1, x, m2, y, props)
-            if bad is None:
-                live.add((x, y))
-            else:
-                reasons[(x, y)] = {"condition": "atom", "prop": bad,
-                                   "at": [x, y]}
-    checks = len(m1.worlds) * len(m2.worlds)
-    pred1, pred2 = _predecessors(m1), _predecessors(m2)
-    candidates = live
+    n1 = len(m1.worlds)
+    index = ({w: i for i, w in enumerate(m1.worlds)},
+             {w: n1 + i for i, w in enumerate(m2.worlds)})
+    succ = [[index[side][v] for v in m.successors(w)]
+            for side, m in enumerate((m1, m2)) for w in m.worlds]
+    pred: list[list[int]] = [[] for _ in succ]
+    for u, vs in enumerate(succ):
+        for v in vs:
+            pred[v].append(u)
+    profiles: dict[tuple, int] = {}
+    block = [profiles.setdefault(tuple(m.true_at(p, w) for p in props), len(profiles))
+             for m in (m1, m2) for w in m.worlds]
+    count = [[0, 0] for _ in profiles]  # per block: left and right worlds
+    for w, blk in enumerate(block):
+        count[blk][w >= n1] += 1
+    live = sum(left * right for left, right in count)
+    history = [[(0, blk)] for blk in block]  # (round, new block id)
+    calls = n1 * len(m2.worlds)
+    dirty, k = range(len(block)), 0
     while True:
-        checks += len(live)
-        removed = []
-        for x, y in sorted(candidates):
-            reason = _modal_violation(m1, x, m2, y, live, reasons)
-            if reason is not None:
-                removed.append((x, y))
-                reasons[(x, y)] = reason
-        if not removed:
+        k += 1
+        calls += live
+        parts: dict[int, dict[frozenset, list[int]]] = {}
+        for w in dirty:
+            sig = frozenset(block[s] for s in succ[w])
+            parts.setdefault(block[w], {}).setdefault(sig, []).append(w)
+        start, dirty = live, set()
+        for blk, by_sig in parts.items():
+            groups = list(by_sig.values())
+            whole = sum(map(len, groups)) == sum(count[blk])
+            keep = max(groups, key=len) if whole else None
+            for group in groups:
+                if group is keep:
+                    continue
+                new = len(count)
+                count.append([0, 0])
+                for w in group:
+                    side = w >= n1
+                    live += count[new][not side] - count[blk][not side]
+                    count[blk][side] -= 1
+                    count[new][side] += 1
+                    block[w] = new
+                    history[w].append((k, new))
+                    dirty.update(pred[w])
+        if live == start:
             break
-        live.difference_update(removed)
-        candidates = {(p, q) for u, v in removed
-                      for p in pred1[u] for q in pred2[v]} & live
-    answer = (a.point, b.point) in live
-    witness = None if answer else reasons.get((a.point, b.point))
-    return Verdict(answer, 0, checks, witness)
+
+    def same(x, y, level):
+        h1, h2 = history[index[0][x]], history[index[1][y]]
+        return (h1[bisect_left(h1, (level + 1,)) - 1][1]
+                == h2[bisect_left(h2, (level + 1,)) - 1][1])
+
+    def fell(x, y):
+        """The first round without the pair: 0 for atoms, k + 1 for none."""
+        return bisect_left(range(k + 1), True, key=lambda lv: not same(x, y, lv))
+
+    r = fell(a.point, b.point)
+    witness = None if r > k else {}
+    todo = [] if witness is None else [(r, (a.point, b.point), witness)]
+    while todo:
+        r, (x, y), node = todo.pop()
+        if r == 0:
+            node.update(condition="atom", prop=_atom_mismatch(m1, x, m2, y, props),
+                        at=[x, y])
+        else:
+            replay = _Replay(same, fell, r, (x, y), todo)
+            node.update(_modal_violation(m1, x, m2, y, replay, replay))
+    return Verdict(witness is None, 0, calls, witness)
 
 
-def _predecessors(m: KripkeModel) -> dict[str, list[str]]:
-    pred: dict[str, list[str]] = {w: [] for w in m.worlds}
-    for u, v in m.edges:
-        pred[v].append(u)
-    return pred
+class _Replay:
+    """What the worklist saw checking ``pair`` in round ``k``: ``in`` is
+    liveness at the round's start, ``get`` a fallen pair's reason if it was
+    recorded by then (an earlier round, or this one and sorted before
+    ``pair``), as an empty node queued on ``todo`` for the caller to fill."""
+
+    def __init__(self, same, fell, k, pair, todo):
+        self.same, self.fell, self.k, self.pair, self.todo = same, fell, k, pair, todo
+
+    def __contains__(self, pair):
+        return self.same(*pair, self.k - 1)
+
+    def get(self, pair):
+        r = self.fell(*pair)
+        if (r, pair) >= (self.k, self.pair):
+            return None
+        self.todo.append((r, pair, {}))
+        return self.todo[-1][2]
 
 
 def _modal_violation(m1, x, m2, y, live, reasons):

@@ -15,7 +15,7 @@ from .bisim import DELETION_KINDS, KINDS, check, random_model
 from .charform import build_char, char_check
 from .formula import ParseError, format_formula, parse_formula
 from .model import ModelError, PointedModel, SizeGuardError, load_model, save_model
-from .oracle import DEFAULT_MAX_EDGES, DEFAULT_MAX_WORLDS, oracle_bisimilar
+from .oracle import DEFAULT_MAX_EDGES, DEFAULT_MAX_WORLDS, guard_size, oracle_bisimilar
 from .semantics import UndeclaredAtomError, evaluate
 from .translate import correspondence_report, render_report, translate_F, translate_G
 
@@ -52,6 +52,9 @@ def _emit(payload) -> None:
 
 def _cmd_check(args) -> int:
     a, b = _load(args.model_a), _load(args.model_b)
+    if args.oracle:
+        # the checker can run for minutes on a pair the oracle refuses at once
+        guard_size("oracle", (a, b), DEFAULT_MAX_WORLDS, DEFAULT_MAX_EDGES)
     verdict = check(args.kind, a, b, use_cache=args.cache)
     out = verdict.to_json()
     if not args.stats:

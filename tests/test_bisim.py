@@ -353,8 +353,8 @@ def _cycle(n, prefix, marked, point):
 
 
 def test_modal_fixpoint_rechecks_only_what_can_fall(monkeypatch):
-    # On a cycle each round removes about one layer of pairs, so checking
-    # every live pair in every round would take 61,712 evaluations here.
+    # The refinement judges no pair by the modal clause: it replays the
+    # clause once for each non-atom node of the printed witness chain.
     import delbisim.bisim as bisim
 
     evaluations = 0
@@ -369,7 +369,87 @@ def test_modal_fixpoint_rechecks_only_what_can_fall(monkeypatch):
     verdict = modal_bisimilar(_cycle(57, "w", [0], 0), _cycle(57, "v", [0], 3))
     assert not verdict.answer
     assert verdict.calls == 64961
-    assert evaluations <= 3 * 57 * 57
+    assert verdict.witness["condition"] == "atom" and evaluations == 0
+    verdict = modal_bisimilar(_cycle(57, "w", [0], 1), _cycle(57, "v", [0], 3))
+    chain = _chain(verdict.witness)
+    assert chain.count("atom") == 1
+    assert evaluations == len(chain) - 1 > 50
+
+
+def _chain(witness):
+    """The conditions along a modal witness's ``cause`` chain."""
+    out = []
+    while witness is not None:
+        out.append(witness["condition"])
+        witness = witness.get("cause")
+    return out
+
+
+def _modal_rescan(a, b):
+    """The full rescan that ``Verdict`` defines: each round checks every live
+    pair, in sorted order, against the live set of the round's start, and
+    records the reason of each pair that falls."""
+    m1, m2 = a.model, b.model
+    props = sorted(set(m1.propositions) | set(m2.propositions))
+    live, reasons = set(), {}
+    for x in m1.worlds:
+        for y in m2.worlds:
+            bad = [p for p in props if m1.true_at(p, x) != m2.true_at(p, y)]
+            if bad:
+                reasons[(x, y)] = {"condition": "atom", "prop": bad[0], "at": [x, y]}
+            else:
+                live.add((x, y))
+    calls = len(m1.worlds) * len(m2.worlds)
+    while True:
+        calls += len(live)
+        removed = []
+        for x, y in sorted(live):
+            for side, outer, inner in (("zig", m1.successors(x), m2.successors(y)),
+                                       ("zag", m2.successors(y), m1.successors(x))):
+                flip = (lambda u, v: (u, v)) if side == "zig" else (lambda u, v: (v, u))
+                lost = [u for u in outer if not any(flip(u, v) in live for v in inner)]
+                if lost:
+                    cause = reasons.get(flip(lost[0], inner[0])) if inner else None
+                    reasons[(x, y)] = {"condition": f"{side}-dia", "item": lost[0],
+                                       "at": [x, y], "cause": cause}
+                    removed.append((x, y))
+                    break
+        if not removed:
+            break
+        live.difference_update(removed)
+    point = (a.point, b.point)
+    return point in live, calls, None if point in live else reasons[point]
+
+
+def _random_modal_pair(rng, i):
+    """1-7 worlds, 0-14 edges, p or p and q; pair ``i`` is two points of one
+    model when ``i`` is a multiple of 3."""
+    def draw(prefix):
+        ws = [f"{prefix}{i}" for i in range(rng.randint(1, 7))]
+        edges = rng.sample([(u, v) for u in ws for v in ws], rng.randint(0, min(14, len(ws) ** 2)))
+        props = rng.choice((["p"], ["p", "q"]))
+        return KripkeModel.make(ws, edges, props, {p: [w for w in ws if rng.random() < 0.5]
+                                                   for p in props})
+
+    m1 = draw("w")
+    m2 = m1 if i % 3 == 0 else draw(rng.choice("vw"))
+    return (PointedModel.make(m1, rng.choice(m1.worlds)),
+            PointedModel.make(m2, rng.choice(m2.worlds)))
+
+
+def test_modal_fixpoint_is_the_rescan():
+    rng = random.Random(2005)
+    pairs = [_random_modal_pair(rng, i) for i in range(2000)]
+    for n1 in range(3, 14):
+        for n2 in (n1, n1 + 3, 2 * n1):
+            marked = [0, n1] if n2 == 2 * n1 else [0]
+            pairs += [(_cycle(n1, "w", [0], 0), _cycle(n2, "v", marked, j)) for j in range(n2)]
+    longest = 0
+    for a, b in pairs:
+        verdict = modal_bisimilar(a, b)
+        assert (verdict.answer, verdict.calls, verdict.witness) == _modal_rescan(a, b), (a, b)
+        longest = max(longest, len(_chain(verdict.witness)))
+    assert longest > 10  # the cycle families' chains reach 14 nodes
 
 
 def test_modal_fixpoint_matches_oracle_over_many_rounds():

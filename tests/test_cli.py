@@ -56,6 +56,24 @@ def test_check_oracle_and_stats(capsys, model_file, cycle_file):
     assert "max_depth" in doc and "calls" in doc
 
 
+def test_check_oracle_refuses_past_its_guard_before_checking(capsys, monkeypatch, tmp_path):
+    # The recursive s checker runs for minutes on a directed 6-cycle, which
+    # the oracle refuses at once; a checker call here ends in exit 2.
+    from delbisim import KripkeModel, PointedModel
+
+    def checker(*args, **kwargs):
+        raise AssertionError("checker called before the oracle guard")
+
+    monkeypatch.setattr("delbisim.cli.check", checker)
+    ws = [f"w{i}" for i in range(6)]
+    cycle = KripkeModel.make(ws, [(ws[i], ws[(i + 1) % 6]) for i in range(6)])
+    path = tmp_path / "c6.json"
+    path.write_text(save_model(PointedModel.make(cycle, "w0")))
+    code, out, err = run(capsys, "check", "--kind", "s", "--oracle", str(path), str(path))
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "oracle guard exceeded: |W|=6 |R|=6 (limits 5/6)"
+
+
 def test_check_deterministic_stdout(capsys, model_file, cycle_file):
     _, first, _ = run(capsys, "check", "--kind", "g", model_file, cycle_file)
     _, second, _ = run(capsys, "check", "--kind", "g", model_file, cycle_file)
