@@ -320,11 +320,52 @@ def test_oracle_at_size_guard_matches_committed_pool():
     assert counts == {"s": 209, "d": 138, "g": 183, "r": 62, "modal": 330}
 
 
+def _relabelled(rng, pm):
+    """An isomorphic copy of ``pm`` under a random bijection onto fresh names."""
+    m = pm.model
+    names = [f"v{i}" for i in range(len(m.worlds))]
+    rng.shuffle(names)
+    to = dict(zip(m.worlds, names))
+    model = KripkeModel.make(names, [(to[u], to[v]) for u, v in m.edges], m.propositions,
+                             {p: [to[w] for w in ws] for p, ws in m.valuation})
+    return PointedModel.make(model, to[pm.point])
+
+
+def _complete(n):
+    """Complete digraph on n worlds, loops included, p at w0, pointed at w0."""
+    ws = [f"w{i}" for i in range(n)]
+    model = KripkeModel.make(ws, [(u, v) for u in ws for v in ws], ["p"], {"p": ["w0"]})
+    return PointedModel.make(model, "w0")
+
+
+def test_oracle_answers_known_by_construction():
+    # No checker is consulted: an isomorphic copy is bisimilar under every
+    # notion, and on a directed cycle with one p-world the distance to it
+    # tells every two worlds apart.
+    rng = random.Random(11)
+    for seed in range(100):
+        a = random_model(seed, 5, 6, ("p",))
+        b = _relabelled(rng, a)
+        for kind in KINDS:
+            assert oracle_bisimilar(kind, a, b).answer, (seed, kind)
+    for pm in [_cycle(n, "w", [0], 0) for n in range(3, 7)] + [_complete(2), _complete(3)]:
+        n, edges = len(pm.model.worlds), len(pm.model.edges)
+        for kind in KINDS:
+            assert oracle_bisimilar(kind, pm, pm, n, edges).answer, (n, edges, kind)
+    for marked in ([0], [2]):
+        for j in range(1, 5):
+            for kind in KINDS:
+                a, b = _cycle(5, "w", marked, 0), _cycle(5, "v", marked, j)
+                assert not oracle_bisimilar(kind, a, b).answer, (marked, j, kind)
+
+
 def test_unknown_kind_rejected(loop):
     with pytest.raises(ValueError):
         check("x", loop, loop)
-    with pytest.raises(ValueError):
-        oracle_bisimilar("x", loop, loop)
+    # a validation error, not a refusal by the oracle's size guard
+    for pm in (loop, _cycle(7, "w", [0], 0)):
+        with pytest.raises(ValueError):
+            oracle_bisimilar("x", pm, pm)
 
 
 def test_random_model_is_deterministic_and_valid():
