@@ -19,7 +19,7 @@ DAG; printing it materializes the tree and can be large.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from itertools import permutations
 
 from .bisim import DOMAINS, GENERALIZED, check
@@ -99,6 +99,15 @@ def _chain(op, guards, seq, body: Formula) -> Formula:
     return body
 
 
+def _tags(m: KripkeModel, declared) -> set[str]:
+    """The tag atoms of ``m``'s worlds, refused if one is declared."""
+    tags = {fresh_atom(x) for x in m.worlds}
+    clash = sorted(tags & set(declared))
+    if clash:
+        raise ModelError(f"tag atoms collide with declared propositions: {clash}")
+    return tags
+
+
 def _guard_check(kind, m):
     if kind not in DOMAINS:
         raise ValueError(f"no characteristic formula for kind {kind!r}")
@@ -127,13 +136,10 @@ def _char_layers(kind: str, m: KripkeModel):
     universal_op = _MODAL[domain.box, guards]
     items = domain.every(m)
     last_len = len(items) - domain.keep + 1
-    e_cache: dict[frozenset, Formula] = {}
 
-    def e_of(deleted: tuple) -> Formula:
-        key = frozenset(deleted)
-        if key not in e_cache:
-            e_cache[key] = build_E(reduce(delete, deleted, m))
-        return e_cache[key]
+    @cache
+    def e_of(deleted: frozenset) -> Formula:
+        return build_E(reduce(delete, deleted, m))
 
     def tags(item) -> list[Formula]:
         if not guards:
@@ -146,8 +152,8 @@ def _char_layers(kind: str, m: KripkeModel):
     layers = []
     for k in range(1, last_len):
         seqs = list(permutations(items, k))
-        existential = [_chain(existential_op, tags, seq, e_of(seq)) for seq in seqs]
-        disjunction = big_or([e_of(seq) for seq in seqs])
+        existential = [_chain(existential_op, tags, seq, e_of(frozenset(seq))) for seq in seqs]
+        disjunction = big_or([e_of(frozenset(seq)) for seq in seqs])
         if guards:
             # Guarded universal chains mention the sequence's own tags, so
             # one clause is needed per sequence.
@@ -157,13 +163,14 @@ def _char_layers(kind: str, m: KripkeModel):
         layers.append((existential, universal))
 
     last = Not(_chain(existential_op, anything, range(last_len), Top()))
-    return e_of(()), layers, last
+    return e_of(frozenset()), layers, last
 
 
 def build_char(kind: str, m: KripkeModel) -> Formula:
     """The kind's characteristic formula of ``m`` (a shared-subterm DAG);
     ``GUARD`` bounds its edges (``s``/``g``) or worlds (``d``/``r``)."""
     _guard_check(kind, m)
+    _tags(m, m.propositions)
     base, layers, last = _char_layers(kind, m)
     parts = [base]
     for existential, universal in layers:
@@ -180,19 +187,15 @@ def canonical_expansion(kind: str, m: PointedModel, n: PointedModel) -> PointedM
     declared false everywhere, mirroring the checkers' atom convention.
     """
     guard_size("expansion", (m, n), DEFAULT_MAX_WORLDS, DEFAULT_MAX_EDGES)
-    fresh = {fresh_atom(x) for x in m.model.worlds}
     declared = set(m.model.propositions) | set(n.model.propositions)
-    clash = sorted(fresh & declared)
-    if clash:
-        raise ModelError(f"tag atoms collide with declared propositions: {clash}")
+    fresh = _tags(m.model, declared)
     valuation = {p: ws for p, ws in n.model.valuation}
     valuation.update({p: () for p in m.model.propositions if p not in valuation})
     for x in m.model.worlds:
         valuation[fresh_atom(x)] = [
             u
             for u in n.model.worlds
-            if check(kind, PointedModel(m.model, x), PointedModel(n.model, u),
-                     use_cache=True).answer
+            if check(kind, PointedModel(m.model, x), PointedModel(n.model, u)).answer
         ]
     model = KripkeModel.make(
         n.model.worlds,

@@ -55,7 +55,7 @@ def _cmd_check(args) -> int:
     if args.oracle:
         # the checker can run for minutes on a pair the oracle refuses at once
         guard_size("oracle", (a, b), DEFAULT_MAX_WORLDS, DEFAULT_MAX_EDGES)
-    verdict = check(args.kind, a, b, use_cache=args.cache)
+    verdict = check(args.kind, a, b)
     out = verdict.to_json()
     if not args.stats:
         del out["max_depth"], out["calls"]
@@ -83,7 +83,7 @@ def _cmd_charform(args) -> int:
 def _cmd_charcheck(args) -> int:
     a, b = _load(args.model_a), _load(args.model_b)
     formula_verdict = char_check(args.kind, a, b)
-    checker_verdict = check(args.kind, a, b, use_cache=True).answer
+    checker_verdict = check(args.kind, a, b).answer
     out = {
         "char_check": formula_verdict,
         "check": "yes" if checker_verdict else "no",
@@ -133,7 +133,7 @@ def _cmd_sweep(args) -> int:
         a = random_model(args.seed + 2 * index, args.worlds, args.edges, props)
         b = random_model(args.seed + 2 * index + 1, args.worlds, args.edges, props)
         for kind in kinds:
-            verdict = check(kind, a, b, use_cache=True)
+            verdict = check(kind, a, b)
             reference = oracle_bisimilar(kind, a, b)
             match = verdict.answer == reference.answer
             line = {
@@ -180,7 +180,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("model_b")
     p.add_argument("--oracle", action="store_true", help="also run the fixpoint oracle")
     p.add_argument("--stats", action="store_true", help="include recursion statistics")
-    p.add_argument("--cache", action="store_true", help="enable the per-call result cache")
+    p.add_argument("--cache", action="store_true", help="no longer needed: checks always cache")
     p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("eval", help="evaluate a formula in a pointed model")
@@ -219,9 +219,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--worlds", type=int, default=3)
     p.add_argument("--edges", type=int, default=4)
     p.add_argument("--props", default="p")
-    p.add_argument(
-        "--cache", action="store_true", help="no longer needed: sweep always caches"
-    )
+    p.add_argument("--cache", action="store_true", help="no longer needed: checks always cache")
     p.set_defaults(run=_cmd_sweep)
 
     p = sub.add_parser(

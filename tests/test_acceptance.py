@@ -1,9 +1,7 @@
 """Acceptance suite: every criterion prints one pass/fail line.
 
 The sample sizes, bounds, and tolerances are fixed here; all randomness is
-seed-derived, so every run checks the identical instances.  The recursive
-checkers run with their opt-in per-call cache, whose answer-identity with
-the uncached runs is covered in test_bisim.
+seed-derived, so every run checks the identical instances.
 """
 
 import time
@@ -82,7 +80,7 @@ def verdicts(sample):
     for i, (a, b) in enumerate(sample):
         for kind in RECURSIVE:
             table[(kind, i)] = (
-                check(kind, a, b, use_cache=True),
+                check(kind, a, b),
                 oracle_bisimilar(kind, a, b),
             )
         table[("modal", i)] = (check("modal", a, b), oracle_bisimilar("modal", a, b))
@@ -172,7 +170,7 @@ def test_criterion_4_characteristic_formulas():
             a = random_model(BASE_SEED + 3_000_000 + 2 * i, 3, edges, ("p",))
             b = random_model(BASE_SEED + 3_000_000 + 2 * i + 1, 3, edges, ("p",))
             checked += 1
-            if char_check(kind, a, b) != check(kind, a, b, use_cache=True).answer:
+            if char_check(kind, a, b) != check(kind, a, b).answer:
                 mismatches += 1
                 print("char mismatch:", kind, i)
     elapsed = time.monotonic() - started

@@ -190,4 +190,4 @@ def test_char_check_matches_checker(seed, kind):
     edges = 3 if kind in ("s", "g") else 4
     a = random_model(seed, 3, edges, ("p",))
     b = random_model(seed + 1, 3, edges, ("p",))
-    assert char_check(kind, a, b) == check(kind, a, b, use_cache=True).answer
+    assert char_check(kind, a, b) == check(kind, a, b).answer

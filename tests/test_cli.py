@@ -1,11 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from delbisim import check, save_model
+from delbisim import check, oracle_bisimilar, random_model, save_model
 from delbisim.cli import main
 
 
@@ -115,6 +119,18 @@ def test_charform_refuses_an_atom_it_cannot_print(capsys, tmp_path):
     assert "'true'" in json.loads(err)["error"]
 
 
+def test_charform_refuses_tag_atoms_that_collide(capsys, tmp_path):
+    # charform printed this formula with "@w1" read both as the declared
+    # proposition and as w1's tag, while charcheck refused the model
+    path = tmp_path / "tagged.json"
+    path.write_text('{"worlds":["w0","w1"],"edges":[["w0","w1"]],"propositions":["@w1"],'
+                    '"valuation":{"@w1":["w0"]},"point":"w0"}')
+    refusal = json.dumps({"error": "tag atoms collide with declared propositions: ['@w1']"})
+    for kind in ("s", "d", "g", "r"):
+        assert run(capsys, "charform", "--kind", kind, str(path)) == (2, "", refusal + "\n")
+    assert run(capsys, "charcheck", "--kind", "s", str(path), str(path)) == (2, "", refusal + "\n")
+
+
 def test_charform_guard_exit(capsys, tmp_path):
     from delbisim import KripkeModel, PointedModel
 
@@ -176,21 +192,30 @@ def test_sweep_summary(capsys):
     assert all(line["match"] for line in lines[:-1])
 
 
-def test_sweep_always_uses_the_checker_memo(capsys, monkeypatch):
-    # seed 1057 draws a g pair the uncached checker does not finish
-    seen = []
-
-    def spy(kind, a, b, use_cache=False):
-        seen.append(use_cache)
-        return check(kind, a, b, use_cache=True)
-
-    monkeypatch.setattr("delbisim.cli.check", spy)
+def test_sweep_always_uses_the_checker_memo(capsys):
+    # seed 1057 draws a g pair that a checker without its memo does not finish
     code, out, _ = run(
         capsys, "sweep", "--kinds", "s,d,g,r", "--seed", "1057", "--count", "2"
     )
     assert code == 0
     assert json.loads(out.strip().splitlines()[-1])["mismatches"] == 0
-    assert seen == [True] * 8
+
+
+@pytest.mark.parametrize("seed", (1057, 1243))
+def test_check_answers_g_pairs_that_stall_without_the_memo(tmp_path, seed):
+    # Without its memo the g checker ran past 100 s on these pairs; a
+    # subprocess with a timeout makes a stall fail instead of hang.
+    pair = [random_model(seed + i, 3, 4) for i in (0, 1)]
+    paths = [tmp_path / f"{i}.json" for i in (0, 1)]
+    for path, pm in zip(paths, pair):
+        path.write_text(save_model(pm))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "delbisim.cli", "check", "--kind", "g", *paths],
+                          capture_output=True, text=True, timeout=60, env=env)
+    expected = oracle_bisimilar("g", *pair).answer
+    assert proc.returncode == (0 if expected else 1), proc.stderr
+    assert json.loads(proc.stdout)["answer"] == ("yes" if expected else "no")
 
 
 def test_sweep_rejects_unknown_kind(capsys):
