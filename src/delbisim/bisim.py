@@ -254,7 +254,8 @@ def modal_bisimilar(a: PointedModel, b: PointedModel) -> Verdict:
     re-signatured world rejoins them.  The live count (over blocks, left
     times right worlds) is kept move by move, and the rounds stop when one
     leaves it unchanged.  Each world records the rounds its block id changed
-    at; the witness chain is replayed from them.
+    at, and the witness chain is read off them: a pair that fell in round
+    r >= 1 fails the modal clause against the pairs live at level r - 1.
     """
     m1, m2 = a.model, b.model
     props = sorted(set(m1.propositions) | set(m2.propositions))
@@ -322,46 +323,26 @@ def modal_bisimilar(a: PointedModel, b: PointedModel) -> Verdict:
         if r == 0:
             node.update(condition="atom", prop=_atom_mismatch(m1, x, m2, y, props),
                         at=[x, y])
-        else:
-            replay = _Replay(same, fell, r, (x, y), todo)
-            node.update(_modal_violation(m1, x, m2, y, replay, replay))
+            continue
+        # (x, y) fell in round r: the rescan's first failing clause, zig
+        # before zag, has a successor with no partner at level r - 1
+        for side, outer, inner, pair in (
+                ("zig", m1.successors(x), m2.successors(y), lambda u, v: (u, v)),
+                ("zag", m2.successors(y), m1.successors(x), lambda v, u: (u, v))):
+            item = next((u for u in outer
+                         if not any(same(*pair(u, v), r - 1) for v in inner)), None)
+            if item is not None:
+                break
+        # the first candidate's reason, if the rescan had recorded it by then
+        cause = None
+        if inner:
+            first = pair(item, inner[0])
+            fell_first = fell(*first)
+            if (fell_first, first) < (r, (x, y)):
+                cause = {}
+                todo.append((fell_first, first, cause))
+        node.update(condition=f"{side}-dia", item=item, at=[x, y], cause=cause)
     return Verdict(witness is None, 0, calls, witness)
-
-
-class _Replay:
-    """What the worklist saw checking ``pair`` in round ``k``: ``in`` is
-    liveness at the round's start, ``get`` a fallen pair's reason if it was
-    recorded by then (an earlier round, or this one and sorted before
-    ``pair``), as an empty node queued on ``todo`` for the caller to fill."""
-
-    def __init__(self, same, fell, k, pair, todo):
-        self.same, self.fell, self.k, self.pair, self.todo = same, fell, k, pair, todo
-
-    def __contains__(self, pair):
-        return self.same(*pair, self.k - 1)
-
-    def get(self, pair):
-        r = self.fell(*pair)
-        if (r, pair) >= (self.k, self.pair):
-            return None
-        self.todo.append((r, pair, {}))
-        return self.todo[-1][2]
-
-
-def _modal_violation(m1, x, m2, y, live, reasons):
-    for u in m1.successors(x):
-        if not any((u, v) in live for v in m2.successors(y)):
-            succ = m2.successors(y)
-            cause = reasons.get((u, succ[0])) if succ else None
-            return {"condition": "zig-dia", "item": u, "at": [x, y],
-                    "cause": cause}
-    for v in m2.successors(y):
-        if not any((u, v) in live for u in m1.successors(x)):
-            succ = m1.successors(x)
-            cause = reasons.get((succ[0], v)) if succ else None
-            return {"condition": "zag-dia", "item": v, "at": [x, y],
-                    "cause": cause}
-    return None
 
 
 def check(kind: str, a: PointedModel, b: PointedModel, use_cache=True) -> Verdict:
@@ -393,9 +374,9 @@ def random_model(seed: int, max_worlds: int, max_edges: int,
     rng = random.Random(seed)
     n = rng.randint(1, max_worlds)
     worlds = [f"w{i}" for i in range(n)]
-    candidates = [(u, v) for u in worlds for v in worlds]
-    k = rng.randint(0, min(max_edges, len(candidates)))
-    edges = rng.sample(candidates, k)
+    # sampling picks by length alone, so indices stand in for the n^2 pairs
+    k = rng.randint(0, min(max_edges, n * n))
+    edges = [(worlds[i // n], worlds[i % n]) for i in rng.sample(range(n * n), k)]
     valuation = {
         p: [w for w in worlds if rng.random() < 0.5] for p in prop_pool
     }

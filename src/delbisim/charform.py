@@ -120,22 +120,22 @@ def _guard_check(kind, m):
         )
 
 
-def _char_layers(kind: str, m: KripkeModel):
+def _char_layers(kind: str, pm: PointedModel):
     """The per-length clause lists: (base, [(existential, universal)], last).
 
-    Sequences of deleted items are enumerated in canonical order; the model
-    reached by a sequence depends only on the item set, so its description
-    formula is built once and shared.
+    Sequences of the items deletable at the point are enumerated in
+    canonical order; the model reached by a sequence depends only on the
+    item set, so its description formula is built once and shared.
     """
-    domain = DOMAINS[kind]
+    domain, m = DOMAINS[kind], pm.model
     delete = delete_edge if domain is EDGE else delete_point
     # the generalized modalities guard a deletion with one formula per
     # endpoint of the deleted item
     guards = _GUARDS[domain.dia] if kind in GENERALIZED else 0
     existential_op = _MODAL[domain.dia, guards]
     universal_op = _MODAL[domain.box, guards]
-    items = domain.every(m)
-    last_len = len(items) - domain.keep + 1
+    items = domain.items(m, pm.point)
+    last_len = len(items) + 1
 
     @cache
     def e_of(deleted: frozenset) -> Formula:
@@ -166,12 +166,13 @@ def _char_layers(kind: str, m: KripkeModel):
     return e_of(frozenset()), layers, last
 
 
-def build_char(kind: str, m: KripkeModel) -> Formula:
-    """The kind's characteristic formula of ``m`` (a shared-subterm DAG);
-    ``GUARD`` bounds its edges (``s``/``g``) or worlds (``d``/``r``)."""
-    _guard_check(kind, m)
-    _tags(m, m.propositions)
-    base, layers, last = _char_layers(kind, m)
+def build_char(kind: str, pm: PointedModel) -> Formula:
+    """The kind's characteristic formula of ``pm`` (a shared-subterm DAG);
+    ``GUARD`` bounds its edges (``s``/``g``) or worlds (``d``/``r``).  A
+    ``d``/``r`` formula depends on the point, which no deletion removes."""
+    _guard_check(kind, pm.model)
+    _tags(pm.model, pm.model.propositions)
+    base, layers, last = _char_layers(kind, pm)
     parts = [base]
     for existential, universal in layers:
         parts.append(big_and(existential + universal))
@@ -218,7 +219,7 @@ def char_check(kind: str, m: PointedModel, n: PointedModel) -> bool:
     every = DOMAINS[kind].every
     if len(every(m.model)) != len(every(n.model)):
         return False
-    char = build_char(kind, m.model)
+    char = build_char(kind, m)
     expanded = canonical_expansion(kind, m, n)
     goal = And(char, Atom(fresh_atom(m.point)))
     return evaluate(expanded, goal, cache={})

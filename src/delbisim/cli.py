@@ -76,7 +76,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_charform(args) -> int:
     pm = _load(args.model)
-    print(format_formula(build_char(args.kind, pm.model)))
+    print(format_formula(build_char(args.kind, pm)))
     return EXIT_YES
 
 

@@ -175,16 +175,14 @@ class Domain(NamedTuple):
     """What one deletion removes: an edge, or a world other than the current one.
 
     ``every(m)`` are all items of ``m``; ``items(m, w)`` lists those
-    deletable at current world ``w``.  ``keep`` items always remain (no
-    edge, one world).  ``ends(item)`` are the worlds an item touches:
-    ``(u, v)`` for an edge, ``(v,)`` for a world.  ``show(item)`` is an
-    item's witness form.  ``seq`` names the count condition
-    (``edge-count``, ``world-count``).  ``dia`` and ``box`` are the keywords
-    of the modalities that delete its items.
+    deletable at current world ``w``.  ``ends(item)`` are the worlds an
+    item touches: ``(u, v)`` for an edge, ``(v,)`` for a world.
+    ``show(item)`` is an item's witness form.  ``seq`` names the count
+    condition (``edge-count``, ``world-count``).  ``dia`` and ``box`` are
+    the keywords of the modalities that delete its items.
     """
 
     seq: str
-    keep: int
     every: Callable
     items: Callable
     ends: Callable
@@ -209,8 +207,8 @@ def _alone(v):
     return (v,)
 
 
-EDGE = Domain("edge", 0, attrgetter("edges"), _edges, _same, list, "sab", "sbox")
-POINT = Domain("world", 1, attrgetter("worlds"), _worlds, _alone, _same, "rem", "rbox")
+EDGE = Domain("edge", attrgetter("edges"), _edges, _same, list, "sab", "sbox")
+POINT = Domain("world", attrgetter("worlds"), _worlds, _alone, _same, "rem", "rbox")
 
 
 def load_model(text: str) -> PointedModel:

@@ -10,6 +10,23 @@ def pm(worlds, edges=(), props=(), val=None, point=None):
 
 
 @pytest.fixture
+def relabelled():
+    """``relabelled(rng, pointed)``: an isomorphic copy of ``pointed`` under a
+    random bijection onto fresh world names."""
+
+    def copy(rng, pointed):
+        m = pointed.model
+        names = [f"v{i}" for i in range(len(m.worlds))]
+        rng.shuffle(names)
+        to = dict(zip(m.worlds, names))
+        model = KripkeModel.make(names, [(to[u], to[v]) for u, v in m.edges], m.propositions,
+                                 {p: [to[w] for w in ws] for p, ws in m.valuation})
+        return PointedModel.make(model, to[pointed.point])
+
+    return copy
+
+
+@pytest.fixture
 def loop():
     """One world with a self-loop, p true."""
     return pm(["w"], [("w", "w")], ["p"], {"p": ["w"]})

@@ -209,13 +209,33 @@ def test_check_answers_g_pairs_that_stall_without_the_memo(tmp_path, seed):
     paths = [tmp_path / f"{i}.json" for i in (0, 1)]
     for path, pm in zip(paths, pair):
         path.write_text(save_model(pm))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-m", "delbisim.cli", "check", "--kind", "g", *paths],
-                          capture_output=True, text=True, timeout=60, env=env)
+                          capture_output=True, text=True, timeout=60, env=_env())
     expected = oracle_bisimilar("g", *pair).answer
     assert proc.returncode == (0 if expected else 1), proc.stderr
     assert json.loads(proc.stdout)["answer"] == ("yes" if expected else "no")
+
+
+def _env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+
+
+def test_random_draws_edges_without_listing_every_pair():
+    # Seed 3 draws 7,798 worlds and no edge; listing all n^2 candidate
+    # edges first took over 1 GB and failed with MemoryError under this cap.
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "delbisim.cli", "random", "--seed", "3",
+                           "--worlds", "20000", "--edges", "0"], capture_output=True,
+                          text=True, timeout=60, env=_env(), preexec_fn=cap)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert len(doc["worlds"]) == 7798 and doc["edges"] == []
 
 
 def test_sweep_rejects_unknown_kind(capsys):
