@@ -160,10 +160,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_translate_report(args) -> int:
-    stats = correspondence_report(
-        args.seed, args.count, max_worlds=args.worlds, max_edges=args.edges
-    )
-    print(render_report(stats))
+    print(render_report(correspondence_report(args.seed, args.count)))
     return EXIT_YES
 
 
@@ -228,8 +225,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--worlds", type=int, default=3)
-    p.add_argument("--edges", type=int, default=3)
     p.set_defaults(run=_cmd_translate_report)
 
     return parser

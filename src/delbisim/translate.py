@@ -23,6 +23,7 @@ from .bisim import check, filtered_check, random_model
 from .model import KripkeModel, ModelError, PointedModel, save_model
 
 EDGE_WORLD_SEP = "·"  # middle dot, as in "u·v·i"
+SAMPLE_BOUND = 3  # each report pair has at most this many worlds and edges
 
 
 def translate_F(m: KripkeModel) -> KripkeModel:
@@ -77,73 +78,50 @@ def translate_G(m: KripkeModel, edges_to_sink: str = "literal") -> KripkeModel:
     )
 
 
-def correspondence_report(
-    seed: int,
-    count: int,
-    max_worlds: int = 3,
-    max_edges: int = 3,
-) -> dict:
+def correspondence_report(seed: int, count: int) -> dict:
     """Agreement statistics between the native checks and the translated ones.
 
     Edge deletion is compared against point-style checking on the split
     models with deletions restricted to ``i``-worlds; point deletion against
     edge-style checking on the sink models (intent mode) with deletions
     restricted to edges into the sink.  The restricted checkers compare
-    deletable-item counts in their size gate.
+    deletable-item counts in their size gate.  Each pair is tallied as it is
+    checked; only the first ten disagreements per direction keep their models.
     """
     if count < 0:
         raise ValueError("count must be at least 0")
-    rows = []
+    stats = {
+        "seed": seed,
+        "count": count,
+        "max_worlds": SAMPLE_BOUND,
+        "max_edges": SAMPLE_BOUND,
+        "propositions": ["p"],  # random_model's default pool
+    }
+    for key in ("edge_to_point", "point_to_edge"):
+        stats[key] = {"pairs": count, "agree": 0, "native_yes": 0, "translated_yes": 0,
+                      "mismatches": [], "mismatch_count": 0}
     for index in range(count):
-        a = random_model(seed + 2 * index, max_worlds, max_edges)
-        b = random_model(seed + 2 * index + 1, max_worlds, max_edges)
+        a = random_model(seed + 2 * index, SAMPLE_BOUND, SAMPLE_BOUND)
+        b = random_model(seed + 2 * index + 1, SAMPLE_BOUND, SAMPLE_BOUND)
         split = [PointedModel.make(translate_F(pm.model), pm.point) for pm in (a, b)]
         sunk = [PointedModel.make(translate_G(pm.model, "intent"), pm.point)
                 for pm in (a, b)]
-        s_native = check("s", a, b).answer
-        s_translated = filtered_check("r", *split, "i").answer
-        d_native = check("d", a, b).answer
-        d_translated = filtered_check("g", *sunk, "j").answer
-        rows.append(
-            {
-                "index": index,
-                "a": save_model(a),
-                "b": save_model(b),
-                "s_native": s_native,
-                "s_translated": s_translated,
-                "d_native": d_native,
-                "d_translated": d_translated,
-            }
+        answers = (
+            ("edge_to_point", check("s", a, b).answer, filtered_check("r", *split, "i").answer),
+            ("point_to_edge", check("d", a, b).answer, filtered_check("g", *sunk, "j").answer),
         )
-
-    def tally(native_key, translated_key):
-        agree = sum(1 for r in rows if r[native_key] == r[translated_key])
-        native_yes = sum(1 for r in rows if r[native_key])
-        translated_yes = sum(1 for r in rows if r[translated_key])
-        mismatches = [
-            {"index": r["index"], "a": r["a"], "b": r["b"],
-             "native": r[native_key], "translated": r[translated_key]}
-            for r in rows
-            if r[native_key] != r[translated_key]
-        ]
-        return {
-            "pairs": count,
-            "agree": agree,
-            "native_yes": native_yes,
-            "translated_yes": translated_yes,
-            "mismatches": mismatches[:10],
-            "mismatch_count": len(mismatches),
-        }
-
-    return {
-        "seed": seed,
-        "count": count,
-        "max_worlds": max_worlds,
-        "max_edges": max_edges,
-        "propositions": ["p"],  # random_model's default pool
-        "edge_to_point": tally("s_native", "s_translated"),
-        "point_to_edge": tally("d_native", "d_translated"),
-    }
+        for key, native, translated in answers:
+            body = stats[key]
+            body["native_yes"] += native
+            body["translated_yes"] += translated
+            if native == translated:
+                body["agree"] += 1
+                continue
+            body["mismatch_count"] += 1
+            if len(body["mismatches"]) < 10:
+                body["mismatches"].append({"index": index, "a": save_model(a), "b": save_model(b),
+                                           "native": native, "translated": translated})
+    return stats
 
 
 def render_report(stats: dict) -> str:

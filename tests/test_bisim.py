@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from delbisim import (
     random_model,
     validate,
 )
+from delbisim import bisim, oracle
 from delbisim.model import SizeGuardError
 
 RECURSIVE = ("s", "d", "g", "r")
@@ -334,6 +337,21 @@ def test_oracle_answers_known_by_construction(relabelled):
             for kind in KINDS:
                 a, b = _cycle(5, "w", marked, 0), _cycle(5, "v", marked, j)
                 assert not oracle_bisimilar(kind, a, b).answer, (marked, j, kind)
+
+
+def test_oracle_borrows_only_tables_from_the_checker():
+    # sweep and check --oracle compare the oracle with the checker: shared
+    # code would compare _Checker or modal_bisimilar with itself
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        if isinstance(node, ast.ImportFrom) and node.module in ("bisim", "delbisim.bisim"):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert not any(alias.name.split(".")[-1] == "bisim" for alias in node.names)
+    assert imported == {"DOMAINS", "GENERALIZED", "KINDS", "Verdict"}
+    borrowed = {name for name, value in vars(oracle).items()
+                if callable(value) and getattr(value, "__module__", None) == bisim.__name__}
+    assert borrowed == {"Verdict"}
 
 
 def test_unknown_kind_rejected(loop):

@@ -119,10 +119,15 @@ def test_report_is_deterministic():
     assert render_report(a) == render_report(b)
 
 
-def test_report_counts_are_consistent():
-    stats = correspondence_report(3, 10)
+@pytest.mark.parametrize("seed, count", [(3, 10), (0, 600)])
+def test_report_counts_are_consistent(seed, count):
+    stats = correspondence_report(seed, count)
     for key in ("edge_to_point", "point_to_edge"):
         body = stats[key]
-        assert body["agree"] + body["mismatch_count"] == body["pairs"] == 10
+        assert body["agree"] + body["mismatch_count"] == body["pairs"] == count
+        # at most ten disagreements keep their models, the first ones in pair order
+        kept = [mm["index"] for mm in body["mismatches"]]
+        assert len(kept) == min(10, body["mismatch_count"])
+        assert kept == sorted(set(kept))
     text = render_report(stats)
     assert "Translation correspondence report" in text
