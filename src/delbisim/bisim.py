@@ -23,9 +23,11 @@ and skips candidate pairs already in it.
 For ``g`` and ``r`` the endpoint side-checks recurse on the *same* submodels
 with an empty visited list, which as written never terminates on cyclic
 instances (the identity pair on a self-loop immediately re-enters itself).
-The checker therefore keeps a set of configurations currently on the call
-stack and answers yes on re-entry; this is the usual coinductive discharge
-and is cross-validated against the fixpoint oracle.
+The checker therefore maps each configuration on the call stack to its
+depth and answers yes on re-entry, the usual coinductive discharge (checked
+against the fixpoint oracle).  As in Tarjan's low-link, each call returns
+the least depth its answer assumed and memoises only an answer that assumed
+none shallower than itself.  ``filtered_check``'s restriction is fixed per run.
 """
 
 from __future__ import annotations
@@ -36,13 +38,12 @@ from dataclasses import dataclass
 
 from .model import EDGE, POINT, KripkeModel, PointedModel, delete_edge, delete_point
 
-KINDS = ("modal", "s", "d", "g", "r")
-DELETION_KINDS = ("s", "d", "g", "r")
+DOMAINS = {"s": EDGE, "d": POINT, "g": EDGE, "r": POINT}
+DELETION_KINDS = tuple(DOMAINS)
+KINDS = ("modal", *DOMAINS)
 # The matched items' endpoints must themselves be bisimilar.
 GENERALIZED = ("g", "r")
-
-
-DOMAINS = {"s": EDGE, "d": POINT, "g": EDGE, "r": POINT}
+_FREE = float("inf")  # the depth of a call that assumed nothing on the stack
 
 
 @dataclass(frozen=True)
@@ -92,17 +93,21 @@ class _Checker:
     def __init__(self, kind, prop=None):
         if kind not in DOMAINS:
             raise ValueError(f"unknown bisimilarity kind {kind!r}")
-        self.domain = DOMAINS[kind]
-        self.ends = self.domain.ends if kind in GENERALIZED else None
+        domain = self.domain = DOMAINS[kind]
+        self.ends = domain.ends if kind in GENERALIZED else None
         # Resolved per run rather than stored in the table, so that
         # instrumentation replacing the module-level names sees every call.
-        self.delete = delete_edge if self.domain is EDGE else delete_point
+        self.delete = delete_edge if domain is EDGE else delete_point
         self.prop = prop
+        # restricted, keep an item iff prop holds at its target: an edge's v, a world
+        self.items = domain.items if prop is None else (
+            lambda m, w: [i for i in domain.items(m, w)
+                          if m.true_at(prop, domain.ends(i)[-1])])
         self.calls = 0
         self.max_depth = 0
         self.memo = {}
-        # configurations on the call stack (g and r only)
-        self.active = set() if kind in GENERALIZED else None
+        # the depth of each configuration on the call stack (g and r only)
+        self.active = {} if kind in GENERALIZED else None
         self.props: list[str] = []
 
     def run(self, a: PointedModel, b: PointedModel) -> Verdict:
@@ -116,57 +121,52 @@ class _Checker:
         return Verdict(ok, self.max_depth, self.calls, _with_paths(wit))
 
     def _rec(self, m1, w1, m2, w2, visited, depth):
+        """``(ok, witness, low)``: ``low`` is the least depth of a stack
+        configuration the answer assumed, else ``_FREE``; an answer that
+        assumed none shallower than ``depth`` is memoised."""
         self.calls += 1
         if depth > self.max_depth:
             self.max_depth = depth
         key = (m1, w1, m2, w2)
         if self.active is not None and key in self.active:
-            return True, None, {key}
+            return True, None, self.active[key]
         mkey = (key, visited)
         hit = self.memo.get(mkey)
         if hit is not None:
-            return hit[0], hit[1], set()
+            return hit[0], hit[1], _FREE
         if self.active is not None:
-            self.active.add(key)
-        ok, wit, used = self._body(m1, w1, m2, w2, visited, depth)
+            self.active[key] = depth
+        ok, wit, low = self._body(m1, w1, m2, w2, visited, depth)
         if self.active is not None:
-            self.active.discard(key)
-        used.discard(key)
-        if not used:
-            self.memo[mkey] = (ok, wit)
-        return ok, wit, used
+            del self.active[key]
+        if low < depth:
+            return ok, wit, low
+        self.memo[mkey] = (ok, wit)
+        return ok, wit, _FREE
 
     def _body(self, m1, w1, m2, w2, visited, depth):
-        # Unrestricted, the count gate compares whole models; restricted, it
-        # compares deletable items, which never include the current world.
-        domain = self.domain
-        if self.prop is None:
-            n1, n2 = len(domain.every(m1)), len(domain.every(m2))
-        else:
-            # keep an item iff prop holds at its target: an edge's v, a world
-            ends, prop = domain.ends, self.prop
-            items1 = [i for i in domain.items(m1, w1) if m1.true_at(prop, ends(i)[-1])]
-            items2 = [i for i in domain.items(m2, w2) if m2.true_at(prop, ends(i)[-1])]
-            n1, n2 = len(items1), len(items2)
-        if n1 != n2:
-            return False, {"condition": f"{domain.seq}-count", "left": n1,
-                           "right": n2, "at": [w1, w2], "path": None}, set()
+        # The gate counts deletable items.  Unrestricted, that decides as
+        # whole-model counts would, and the witness prints those counts.
+        items1, items2 = self.items(m1, w1), self.items(m2, w2)
+        if len(items1) != len(items2):
+            domain = self.domain
+            if self.prop is None:
+                items1, items2 = domain.every(m1), domain.every(m2)
+            return False, {"condition": f"{domain.seq}-count", "left": len(items1),
+                           "right": len(items2), "at": [w1, w2], "path": None}, _FREE
 
         bad = _atom_mismatch(m1, w1, m2, w2, self.props)
         if bad is not None:
             return False, {"condition": "atom", "prop": bad,
-                           "at": [w1, w2], "path": None}, set()
+                           "at": [w1, w2], "path": None}, _FREE
 
-        if self.prop is None:
-            items1, items2 = domain.items(m1, w1), domain.items(m2, w2)
-        ok, wit, used = self._zigzag(m1, w1, m2, w2, items1, items2, None,
-                                     depth)
+        ok, wit, low = self._zigzag(m1, w1, m2, w2, items1, items2, None, depth)
         if ok and (w1, w2) not in visited:
-            ok, wit, u = self._zigzag(m1, w1, m2, w2, m1.successors(w1),
-                                      m2.successors(w2), visited | {(w1, w2)},
-                                      depth)
-            used |= u
-        return ok, wit, used
+            ok, wit, low2 = self._zigzag(m1, w1, m2, w2, m1.successors(w1),
+                                         m2.successors(w2),
+                                         visited | {(w1, w2)}, depth)
+            low = min(low, low2)
+        return ok, wit, low
 
     def _zigzag(self, m1, w1, m2, w2, cands1, cands2, grown, depth):
         """Zig then zag: every candidate on one side is matched on the other.
@@ -175,7 +175,7 @@ class _Checker:
         successors of the current worlds, moved to with the grown visited
         list.
         """
-        used: set = set()
+        low = _FREE
         for forward in (True, False):
             outer, inner = (cands1, cands2) if forward else (cands2, cands1)
             for c_out in outer:
@@ -183,8 +183,8 @@ class _Checker:
                 for c_in in inner:
                     c1, c2 = (c_out, c_in) if forward else (c_in, c_out)
                     if grown is None:
-                        ok, cause, u = self._match(m1, w1, m2, w2, c1, c2,
-                                                   depth)
+                        ok, cause, low2 = self._match(m1, w1, m2, w2, c1, c2,
+                                                      depth)
                     elif (c1, c2) in grown:
                         # Membership is tested against the grown list: a
                         # candidate equal to the current pair would only
@@ -194,10 +194,10 @@ class _Checker:
                         # without the redundant descent.
                         break
                     else:
-                        ok, wit, u = self._rec(m1, c1, m2, c2, grown,
-                                               depth + 1)
+                        ok, wit, low2 = self._rec(m1, c1, m2, c2, grown,
+                                                  depth + 1)
                         cause = (["move", c1, c2], wit)
-                    used |= u
+                    low = min(low, low2)
                     if ok:
                         break
                     if first_cause is None:
@@ -210,22 +210,22 @@ class _Checker:
                         cond, item = f"{side}-dia", c_out
                     return False, {"condition": cond, "item": item,
                                    "at": [w1, w2], "path": None,
-                                   "cause": first_cause}, used
-        return True, None, used
+                                   "cause": first_cause}, low
+        return True, None, low
 
     def _match(self, m1, w1, m2, w2, i1, i2, depth):
         """Delete ``i1`` and ``i2`` after the generalized endpoint checks."""
-        used: set = set()
+        low = _FREE
         if self.ends is not None:
             for u1, u2 in zip(self.ends(i1), self.ends(i2)):
-                ok, wit, u = self._rec(m1, u1, m2, u2, frozenset(), depth + 1)
-                used |= u
+                ok, wit, low2 = self._rec(m1, u1, m2, u2, frozenset(), depth + 1)
+                low = min(low, low2)
                 if not ok:
-                    return False, (["endpoint", u1, u2], wit), used
-        ok, wit, u = self._rec(self.delete(m1, i1), w1, self.delete(m2, i2),
-                               w2, frozenset(), depth + 1)
-        used |= u
-        return ok, (["del", self.domain.show(i1), self.domain.show(i2)], wit), used
+                    return False, (["endpoint", u1, u2], wit), low
+        ok, wit, low2 = self._rec(self.delete(m1, i1), w1, self.delete(m2, i2),
+                                  w2, frozenset(), depth + 1)
+        step = ["del", self.domain.show(i1), self.domain.show(i2)]
+        return ok, (step, wit), min(low, low2)
 
 
 def _with_paths(wit):

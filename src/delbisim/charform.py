@@ -8,10 +8,9 @@ existential clause for every sequence of pairwise-distinct items and a
 universal clause, closing with a clause forbidding one deletion too many.
 
 The four deletion kinds differ only in their deletion domain
-(``bisim.DOMAINS``: which items a sequence deletes, how many must remain and
-the pair of modalities that delete them) and in whether those modalities are
-guarded (``g``/``r``); one ``_chain`` function nests the modalities for all
-of them.
+(``bisim.DOMAINS``: which items a sequence deletes and the pair of
+modalities that delete them) and in whether those modalities are guarded
+(``g``/``r``); one ``_chain`` function nests the modalities for all of them.
 
 Sub-formulas for a given deleted item set are shared, so the result is a
 DAG; printing it materializes the tree and can be large.

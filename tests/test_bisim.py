@@ -60,6 +60,33 @@ def test_world_count_gate(loop, cycle2):
     assert verdict.witness["condition"] == "world-count"
 
 
+def _chain(witness):
+    """The nodes along a witness's ``cause`` chain."""
+    out = []
+    while witness is not None:
+        out.append(witness)
+        witness = witness.get("cause")
+    return out
+
+
+def test_count_gate_fires_only_at_the_root_unless_restricted():
+    # Unrestricted, a count gate that passes at the root passes everywhere
+    # below it (the oracle's docstring argues this for its root gate).
+    for seed in range(0, 600, 2):
+        a, b = _pair(seed)
+        for kind in RECURSIVE:
+            for node in _chain(check(kind, a, b).witness):
+                if node["condition"].endswith("-count"):
+                    assert node["path"] == [], (seed, kind, node)
+    # Restricted, it counts deletable items, which the current world decides.
+    a, b = _pair(8)
+    for kind in ("d", "r"):
+        verdict = bisim.filtered_check(kind, a, b, "p")
+        gates = [n for n in _chain(verdict.witness) if n["condition"] == "world-count"]
+        assert [(n["path"], n["left"], n["right"]) for n in gates] == [
+            ([["move", "w0", "w0"]], 0, 1)]
+
+
 def test_atom_clause():
     a = PointedModel.make(KripkeModel.make(["w"], [], ["p"], {"p": ["w"]}), "w")
     b = PointedModel.make(KripkeModel.make(["v"], [], ["p"], {}), "v")
@@ -394,18 +421,9 @@ def test_modal_fixpoint_rechecks_only_what_can_fall():
     assert verdict.calls == 64961
     assert verdict.witness["condition"] == "atom"
     verdict = modal_bisimilar(_cycle(57, "w", [0], 1), _cycle(57, "v", [0], 3))
-    chain = _chain(verdict.witness)
+    chain = [node["condition"] for node in _chain(verdict.witness)]
     assert chain.count("atom") == 1
     assert len(chain) - 1 > 50
-
-
-def _chain(witness):
-    """The conditions along a modal witness's ``cause`` chain."""
-    out = []
-    while witness is not None:
-        out.append(witness["condition"])
-        witness = witness.get("cause")
-    return out
 
 
 def _modal_rescan(a, b):
