@@ -315,15 +315,14 @@ def modal_bisimilar(a: PointedModel, b: PointedModel) -> Verdict:
         """The first round without the pair: 0 for atoms, k + 1 for none."""
         return bisect_left(range(k + 1), True, key=lambda lv: not same(x, y, lv))
 
-    r = fell(a.point, b.point)
-    witness = None if r > k else {}
-    todo = [] if witness is None else [(r, (a.point, b.point), witness)]
-    while todo:
-        r, (x, y), node = todo.pop()
+    x, y = a.point, b.point
+    r = fell(x, y)
+    witness = node = None if r > k else {}
+    while node is not None:  # each node has at most one cause: walk the chain
         if r == 0:
             node.update(condition="atom", prop=_atom_mismatch(m1, x, m2, y, props),
                         at=[x, y])
-            continue
+            break
         # (x, y) fell in round r: the rescan's first failing clause, zig
         # before zag, has a successor with no partner at level r - 1
         for side, outer, inner, pair in (
@@ -333,15 +332,15 @@ def modal_bisimilar(a: PointedModel, b: PointedModel) -> Verdict:
                          if not any(same(*pair(u, v), r - 1) for v in inner)), None)
             if item is not None:
                 break
+        node.update(condition=f"{side}-dia", item=item, at=[x, y], cause=None)
         # the first candidate's reason, if the rescan had recorded it by then
-        cause = None
         if inner:
             first = pair(item, inner[0])
             fell_first = fell(*first)
             if (fell_first, first) < (r, (x, y)):
-                cause = {}
-                todo.append((fell_first, first, cause))
-        node.update(condition=f"{side}-dia", item=item, at=[x, y], cause=cause)
+                node["cause"] = {}
+                r, (x, y) = fell_first, first
+        node = node["cause"]
     return Verdict(witness is None, 0, calls, witness)
 
 

@@ -2,10 +2,12 @@
 
 Every world ``x`` of the source model gets a reserved tag atom ``@x``.  The
 description formula conjoins, for each world, an implication from its tag to
-its literal profile and to its successor environment.  The characteristic
-formula for a deletion kind then adds, per deletion-sequence length, an
-existential clause for every sequence of pairwise-distinct items and a
-universal clause, closing with a clause forbidding one deletion too many.
+its literal profile and to its successor environment.  ``build_char`` conjoins
+that description, one conjunct per deletion-sequence length and a last clause
+forbidding one deletion too many.  A length's conjunct lists an existential
+clause for every sequence of pairwise-distinct items deletable at the point,
+in canonical order, then the universal clauses: one for all sequences, or one
+per sequence for the guarded kinds.
 
 The four deletion kinds differ only in their deletion domain
 (``bisim.DOMAINS``: which items a sequence deletes and the pair of
@@ -107,7 +109,8 @@ def _tags(m: KripkeModel, declared) -> set[str]:
     return tags
 
 
-def _guard_check(kind, m):
+def _guard_check(kind, m) -> int:
+    """The number of ``m``'s items of the kind's domain, refused past ``GUARD``."""
     if kind not in DOMAINS:
         raise ValueError(f"no characteristic formula for kind {kind!r}")
     domain = DOMAINS[kind]
@@ -117,15 +120,15 @@ def _guard_check(kind, m):
         raise SizeGuardError(
             f"characteristic formula guard exceeded: |{name}|={size} > {GUARD}"
         )
+    return size
 
 
-def _char_layers(kind: str, pm: PointedModel):
-    """The per-length clause lists: (base, [(existential, universal)], last).
-
-    Sequences of the items deletable at the point are enumerated in
-    canonical order; the model reached by a sequence depends only on the
-    item set, so its description formula is built once and shared.
-    """
+def build_char(kind: str, pm: PointedModel) -> Formula:
+    """The kind's characteristic formula of ``pm`` (a shared-subterm DAG);
+    ``GUARD`` bounds its edges (``s``/``g``) or worlds (``d``/``r``).  A
+    ``d``/``r`` formula depends on the point, which no deletion removes."""
+    _guard_check(kind, pm.model)
+    _tags(pm.model, pm.model.propositions)
     domain, m = DOMAINS[kind], pm.model
     delete = delete_edge if domain is EDGE else delete_point
     # the generalized modalities guard a deletion with one formula per
@@ -134,8 +137,8 @@ def _char_layers(kind: str, pm: PointedModel):
     existential_op = _MODAL[domain.dia, guards]
     universal_op = _MODAL[domain.box, guards]
     items = domain.items(m, pm.point)
-    last_len = len(items) + 1
 
+    # the model a sequence reaches depends only on its item set
     @cache
     def e_of(deleted: frozenset) -> Formula:
         return build_E(reduce(delete, deleted, m))
@@ -145,37 +148,21 @@ def _char_layers(kind: str, pm: PointedModel):
             return []
         return [Atom(fresh_atom(x)) for x in domain.ends(item)]
 
-    def anything(_) -> list[Formula]:
-        return [Top() for _ in range(guards)]
-
-    layers = []
-    for k in range(1, last_len):
+    parts = [e_of(frozenset())]
+    for k in range(1, len(items) + 1):
         seqs = list(permutations(items, k))
-        existential = [_chain(existential_op, tags, seq, e_of(frozenset(seq))) for seq in seqs]
+        clauses = [_chain(existential_op, tags, seq, e_of(frozenset(seq))) for seq in seqs]
         disjunction = big_or([e_of(frozenset(seq)) for seq in seqs])
         if guards:
             # Guarded universal chains mention the sequence's own tags, so
             # one clause is needed per sequence.
-            universal = [_chain(universal_op, tags, seq, disjunction) for seq in seqs]
+            clauses += [_chain(universal_op, tags, seq, disjunction) for seq in seqs]
         else:
-            universal = [_chain(universal_op, tags, seqs[0], disjunction)]
-        layers.append((existential, universal))
-
-    last = Not(_chain(existential_op, anything, range(last_len), Top()))
-    return e_of(frozenset()), layers, last
-
-
-def build_char(kind: str, pm: PointedModel) -> Formula:
-    """The kind's characteristic formula of ``pm`` (a shared-subterm DAG);
-    ``GUARD`` bounds its edges (``s``/``g``) or worlds (``d``/``r``).  A
-    ``d``/``r`` formula depends on the point, which no deletion removes."""
-    _guard_check(kind, pm.model)
-    _tags(pm.model, pm.model.propositions)
-    base, layers, last = _char_layers(kind, pm)
-    parts = [base]
-    for existential, universal in layers:
-        parts.append(big_and(existential + universal))
-    parts.append(last)
+            clauses.append(_chain(universal_op, tags, seqs[0], disjunction))
+        parts.append(big_and(clauses))
+    # one deletion too many: any guards will do
+    parts.append(Not(_chain(existential_op, lambda _: [Top()] * guards,
+                            range(len(items) + 1), Top())))
     return big_and(parts)
 
 
@@ -213,10 +200,7 @@ def char_check(kind: str, m: PointedModel, n: PointedModel) -> bool:
     A size mismatch (edge count for s/g, world count for d/r) short-circuits
     to false, which the terminal clause would enforce in one direction only.
     """
-    _guard_check(kind, m.model)
-    _guard_check(kind, n.model)
-    every = DOMAINS[kind].every
-    if len(every(m.model)) != len(every(n.model)):
+    if _guard_check(kind, m.model) != _guard_check(kind, n.model):
         return False
     char = build_char(kind, m)
     expanded = canonical_expansion(kind, m, n)

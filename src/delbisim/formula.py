@@ -194,10 +194,11 @@ def _children(f: Formula) -> tuple[Formula, ...]:
 
 def modal_depth(f: Formula) -> int:
     """Deepest nesting of modal/deletion operators (guards included)."""
-    kids = _children(f)
-    if not kids:
-        return 0
-    return max(modal_depth(k) for k in kids) + (type(f) in _KEYWORD)
+    # a plain loop: a generator inside max costs a frame per level more
+    depth = 0
+    for child in _children(f):
+        depth = max(depth, modal_depth(child))
+    return depth + (type(f) in _KEYWORD)
 
 
 # --- printer ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +18,8 @@ from delbisim import (
     parse_formula,
     random_model,
 )
-from delbisim.charform import _char_layers, big_and, big_or
-from delbisim.formula import Atom, Not, Sab, Top, in_fragment, walk
+from delbisim.charform import big_and, big_or
+from delbisim.formula import And, Atom, Not, Sab, Top, in_fragment, walk
 from delbisim.model import ModelError, SizeGuardError
 
 CHAR_KINDS = ("s", "d", "g", "r")
@@ -51,8 +52,30 @@ def test_build_E_two_chain_mentions_only_successor_tags():
     assert e == expected
 
 
+def conjuncts(f):
+    """The conjuncts of a right-nested ``And`` spine."""
+    out = []
+    while isinstance(f, And):
+        out.append(f.left)
+        f = f.right
+    return out + [f]
+
+
+def char_layers(kind, pm):
+    """``build_char``'s base, per-length (existential, universal) clauses and
+    terminal clause; in each length the existential clauses come first."""
+    base, *lengths, last = conjuncts(build_char(kind, pm))
+    layers = []
+    for clauses in map(conjuncts, lengths):
+        existential = list(takewhile(lambda c: type(c) is type(clauses[0]), clauses))
+        universal = clauses[len(existential):]
+        assert all(type(c) is not type(clauses[0]) for c in universal)
+        layers.append((existential, universal))
+    return base, layers, last
+
+
 def test_char_self_loop_structure(loop):
-    base, layers, last = _char_layers("s", loop)
+    base, layers, last = char_layers("s", loop)
     assert base == build_E(loop.model)
     assert len(layers) == 1
     existential, universal = layers[0]
@@ -65,20 +88,20 @@ def test_char_self_loop_structure(loop):
 
 def test_char_two_world_point_kind_terminal():
     m = PointedModel.make(KripkeModel.make(["a", "b"], [("a", "b")]), "a")
-    base, layers, last = _char_layers("d", m)
+    base, layers, last = char_layers("d", m)
     assert len(layers) == 1  # only length-1 sequences; length 2 is the terminal
     assert last == parse_formula("~rem rem true")
 
 
 def test_char_two_cycle_sequence_counts(cycle2):
-    _, layers, _ = _char_layers("s", cycle2)
+    _, layers, _ = char_layers("s", cycle2)
     assert [len(ex) for ex, _ in layers] == [2, 2]
     # plain-deletion universal clause is shared across sequences
     assert [len(un) for _, un in layers] == [1, 1]
 
 
 def test_guarded_universal_clauses_are_per_sequence(cycle2):
-    _, layers, _ = _char_layers("g", cycle2)
+    _, layers, _ = char_layers("g", cycle2)
     assert [len(un) for _, un in layers] == [2, 2]
 
 
@@ -87,7 +110,7 @@ def test_guarded_universal_clauses_are_per_sequence(cycle2):
 def test_existential_conjunct_counts(seed):
     pm = random_model(seed, 3, 3, ("p",))
     n = len(pm.model.edges)
-    _, layers, _ = _char_layers("s", pm)
+    _, layers, _ = char_layers("s", pm)
     for k, (existential, _) in enumerate(layers, start=1):
         assert len(existential) == math.perm(n, k)
 

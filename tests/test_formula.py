@@ -168,3 +168,12 @@ def test_deep_formula_prints_back(prefix, suffix):
     # recursion limit.
     text = prefix * 900 + "p" + suffix * 900
     assert format_formula(parse_formula(text)) == text
+
+
+@pytest.mark.parametrize("prefix, suffix, depth", [
+    ("~", "", 0), ("dia ", "", 900), ("sab{p|p} ", "", 900), ("rem{p} ", "", 900),
+    ("(p & ", ")", 0),
+])
+def test_deep_formula_modal_depth(prefix, suffix, depth):
+    text = prefix * 900 + "p" + suffix * 900
+    assert modal_depth(parse_formula(text)) == depth
