@@ -20,12 +20,14 @@ worlds) runs first, deletion recursion always starts from an empty visited
 list, and modal recursion extends the visited list with the current pair
 and skips candidate pairs already in it.
 
-For ``g`` and ``r`` the endpoint side-checks recurse on the *same* submodels
-with an empty visited list, which as written never terminates on cyclic
-instances (the identity pair on a self-loop immediately re-enters itself).
-The checker therefore maps each configuration on the call stack to its
-depth and answers yes on re-entry, the usual coinductive discharge (checked
-against the fixpoint oracle).  As in Tarjan's low-link, each call returns
+A configuration on the call stack maps to its depth, and a re-entry answers
+yes, the usual coinductive discharge (checked against the fixpoint oracle).
+Only ``g``/``r`` re-enter, through endpoint side-checks on the *same*
+submodels with an empty visited list; ``s``/``d`` never do, as a modal move
+skips every pair moved from since the last deletion; deletions shrink models.
+The stack map keys by model identity, the memo by value: on one call path
+item counts never rise and only a deletion makes a new model, so equal
+models on it are the same objects.  As in Tarjan's low-link, a call returns
 the least depth its answer assumed and memoises only an answer that assumed
 none shallower than itself.  ``filtered_check``'s restriction is fixed per run.
 """
@@ -106,9 +108,8 @@ class _Checker:
         self.calls = 0
         self.max_depth = 0
         self.memo = {}
-        # the depth of each configuration on the call stack (g and r only)
-        self.active = {} if kind in GENERALIZED else None
-        self.props: list[str] = []
+        # the depth of each configuration on the call stack, by model identity
+        self.active = {}
 
     def run(self, a: PointedModel, b: PointedModel) -> Verdict:
         # deletions never change the proposition set, so the atom-check
@@ -127,18 +128,16 @@ class _Checker:
         self.calls += 1
         if depth > self.max_depth:
             self.max_depth = depth
-        key = (m1, w1, m2, w2)
-        if self.active is not None and key in self.active:
+        key = (id(m1), w1, id(m2), w2)
+        if key in self.active:
             return True, None, self.active[key]
-        mkey = (key, visited)
+        mkey = (m1, w1, m2, w2, visited)
         hit = self.memo.get(mkey)
         if hit is not None:
             return hit[0], hit[1], _FREE
-        if self.active is not None:
-            self.active[key] = depth
+        self.active[key] = depth
         ok, wit, low = self._body(m1, w1, m2, w2, visited, depth)
-        if self.active is not None:
-            del self.active[key]
+        del self.active[key]
         if low < depth:
             return ok, wit, low
         self.memo[mkey] = (ok, wit)

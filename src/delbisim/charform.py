@@ -177,7 +177,6 @@ def canonical_expansion(kind: str, m: PointedModel, n: PointedModel) -> PointedM
     declared = set(m.model.propositions) | set(n.model.propositions)
     fresh = _tags(m.model, declared)
     valuation = {p: ws for p, ws in n.model.valuation}
-    valuation.update({p: () for p in m.model.propositions if p not in valuation})
     for x in m.model.worlds:
         valuation[fresh_atom(x)] = [
             u

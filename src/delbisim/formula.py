@@ -194,11 +194,10 @@ def _children(f: Formula) -> tuple[Formula, ...]:
 
 def modal_depth(f: Formula) -> int:
     """Deepest nesting of modal/deletion operators (guards included)."""
-    # a plain loop: a generator inside max costs a frame per level more
-    depth = 0
-    for child in _children(f):
-        depth = max(depth, modal_depth(child))
-    return depth + (type(f) in _KEYWORD)
+    depths = []  # read in reverse, the pre-order puts a node's children on top
+    for g in reversed(list(walk(f))):
+        depths.append(max([depths.pop() for _ in _children(g)], default=0) + (type(g) in _KEYWORD))
+    return depths[0]
 
 
 # --- printer ---------------------------------------------------------------
@@ -209,28 +208,29 @@ _IDENT = re.compile(r"[A-Za-z_@][A-Za-z0-9_@]*")
 
 
 def format_formula(f: Formula) -> str:
-    """Canonical text form, which ``parse_formula`` inverts exactly; raises
-    ``ValueError`` for an atom whose name would not parse back as that atom."""
-    if type(f) in _CONSTANT_TEXT:
-        return _CONSTANT_TEXT[type(f)]
-    if isinstance(f, Atom):
-        if not _IDENT.fullmatch(f.name) or f.name in _CONSTANT or f.name in _GUARDS:
-            raise ValueError(f"atom {f.name!r} would not parse back as an atom")
-        return f.name
-    if isinstance(f, Not):
-        return f"~{format_formula(f.body)}"
-    if isinstance(f, (And, Or, Imp)):
-        op = _BINOP_TEXT[type(f)]
-        return f"({format_formula(f.left)} {op} {format_formula(f.right)})"
-    if type(f) in _KEYWORD:
-        # a plain loop: a map (3.12) or a comprehension (3.11) costs a level more
-        parts = []
-        for child in _children(f):
-            parts.append(format_formula(child))
-        *guards, body = parts
-        braces = "{" + "|".join(guards) + "}" if guards else ""
-        return f"{_KEYWORD[type(f)]}{braces} {body}"
-    raise TypeError(f"not a formula node: {f!r}")
+    """Canonical text form, which ``parse_formula`` inverts exactly up to its
+    nesting limit (about 1,000 levels); raises ``ValueError`` for an atom whose
+    name would not parse back as that atom."""
+    texts = []  # as in ``modal_depth``: children first, in a loop
+    for g in reversed(list(walk(f))):
+        parts = [texts.pop() for _ in _children(g)]
+        if type(g) in _CONSTANT_TEXT:
+            texts.append(_CONSTANT_TEXT[type(g)])
+        elif isinstance(g, Atom):
+            if not _IDENT.fullmatch(g.name) or g.name in _CONSTANT or g.name in _GUARDS:
+                raise ValueError(f"atom {g.name!r} would not parse back as an atom")
+            texts.append(g.name)
+        elif isinstance(g, Not):
+            texts.append(f"~{parts[0]}")
+        elif isinstance(g, (And, Or, Imp)):
+            texts.append(f"({parts[0]} {_BINOP_TEXT[type(g)]} {parts[1]})")
+        elif type(g) in _KEYWORD:
+            *guards, body = parts
+            braces = "{" + "|".join(guards) + "}" if guards else ""
+            texts.append(f"{_KEYWORD[type(g)]}{braces} {body}")
+        else:
+            raise TypeError(f"not a formula node: {g!r}")
+    return texts[0]
 
 
 # --- parser ----------------------------------------------------------------

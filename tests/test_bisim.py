@@ -13,10 +13,12 @@ from delbisim import (
     PointedModel,
     check,
     evaluate,
+    load_model,
     modal_bisimilar,
     oracle_bisimilar,
     random_formula,
     random_model,
+    save_model,
     validate,
 )
 from delbisim import bisim, oracle
@@ -364,6 +366,26 @@ def test_oracle_answers_known_by_construction(relabelled):
             for kind in KINDS:
                 a, b = _cycle(5, "w", marked, 0), _cycle(5, "v", marked, j)
                 assert not oracle_bisimilar(kind, a, b).answer, (marked, j, kind)
+
+
+def test_verdicts_do_not_depend_on_which_objects_the_models_are():
+    # The checker keys its call stack by model identity and its memo by
+    # value, so a copy of either model gives the same verdict, witness and
+    # counts, also where a self-pair becomes two equal objects.
+    def copy(pm):
+        return load_model(save_model(pm))
+
+    for seed in range(300):
+        a, b = random_model(seed, 3, 3), random_model(seed + 7919, 3, 3)
+        for kind in RECURSIVE:
+            assert check(kind, a, b).to_json() == check(kind, a, copy(b)).to_json(), (seed, kind)
+            assert check(kind, a, a).to_json() == check(kind, a, copy(a)).to_json(), (seed, kind)
+    # The C4 identity pair's counts; CI pins g (762,057 calls, depth 16),
+    # which is too slow for this suite.
+    c4 = _cycle(4, "w", [0], 0)
+    for kind, calls, depth in (("s", 1938, 8), ("d", 439, 7), ("r", 11673, 12)):
+        verdict = check(kind, c4, c4)
+        assert (verdict.answer, verdict.calls, verdict.max_depth) == (True, calls, depth), kind
 
 
 def test_oracle_borrows_only_tables_from_the_checker():

@@ -389,3 +389,17 @@ def test_witness_output_is_json_dumps(levels, leaf_cause, oracle):
     with contextlib.redirect_stdout(out):
         _emit(payload)
     assert out.getvalue() == json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def test_charform_prints_a_description_of_many_worlds(capsys, tmp_path):
+    # build_E conjoins one description per world and the s guard bounds
+    # only edges, so the printer must not spend a frame per world.
+    from delbisim import KripkeModel, PointedModel
+
+    worlds = [f"w{i}" for i in range(1200)]
+    path = tmp_path / "edgeless.json"
+    path.write_text(save_model(PointedModel.make(KripkeModel.make(worlds, (), ["p"]), "w0")))
+    code, out, err = run(capsys, "charform", "--kind", "s", str(path))
+    assert (code, err) == (0, "")
+    assert len(out) == 49300
+    assert out.startswith("(((@w0 -> (~p & (true & box false))) & ((@w1 -> ")

@@ -177,3 +177,17 @@ def test_deep_formula_prints_back(prefix, suffix):
 def test_deep_formula_modal_depth(prefix, suffix, depth):
     text = prefix * 900 + "p" + suffix * 900
     assert modal_depth(parse_formula(text)) == depth
+
+
+@pytest.mark.parametrize("leaf, depth", [(Atom("p"), 0), (Dia(Atom("p")), 1)])
+def test_long_conjunction_spine_prints_and_has_its_depth(leaf, depth):
+    # A right-nested conjunction as build_E makes, one link per world: a
+    # frame per link would exhaust the recursion limit.  It is too deep for
+    # the parser to read back, so the text is checked directly.
+    spine = leaf
+    for _ in range(2000):
+        spine = And(leaf, spine)
+    text = format_formula(spine)
+    leaf_text = format_formula(leaf)
+    assert text == f"({leaf_text} & " * 2000 + leaf_text + ")" * 2000
+    assert modal_depth(spine) == depth
