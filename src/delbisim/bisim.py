@@ -25,11 +25,13 @@ yes, the usual coinductive discharge (checked against the fixpoint oracle).
 Only ``g``/``r`` re-enter, through endpoint side-checks on the *same*
 submodels with an empty visited list; ``s``/``d`` never do, as a modal move
 skips every pair moved from since the last deletion; deletions shrink models.
-The stack map keys by model identity, the memo by value: on one call path
-item counts never rise and only a deletion makes a new model, so equal
-models on it are the same objects.  As in Tarjan's low-link, a call returns
-the least depth its answer assumed and memoises only an answer that assumed
-none shallower than itself.  ``filtered_check``'s restriction is fixed per run.
+The stack map and the memo key each side by its remaining items (the
+domain's ``every``), which fix its model: in one run, each model on a side
+is its root minus items of one domain, whichever ``filtered_check`` lets
+go; an edge submodel keeps the root's worlds and valuation, and a point
+submodel the root's edges and valuation among the worlds left.  As in
+Tarjan's low-link, a call returns the least depth its answer assumed and
+memoises only an answer that assumed none shallower than itself.
 """
 
 from __future__ import annotations
@@ -108,15 +110,13 @@ class _Checker:
         self.calls = 0
         self.max_depth = 0
         self.memo = {}
-        # the depth of each configuration on the call stack, by model identity
+        # the depth of each configuration on the call stack, by remaining items
         self.active = {}
 
     def run(self, a: PointedModel, b: PointedModel) -> Verdict:
         # deletions never change the proposition set, so the atom-check
         # domain is fixed for the whole run
-        self.props = sorted(
-            set(a.model.propositions) | set(b.model.propositions)
-        )
+        self.props = sorted(set(a.model.propositions) | set(b.model.propositions))
         ok, wit, _ = self._rec(a.model, a.point, b.model, b.point,
                                frozenset(), 0)
         return Verdict(ok, self.max_depth, self.calls, _with_paths(wit))
@@ -128,10 +128,10 @@ class _Checker:
         self.calls += 1
         if depth > self.max_depth:
             self.max_depth = depth
-        key = (id(m1), w1, id(m2), w2)
+        key = (self.domain.every(m1), w1, self.domain.every(m2), w2)
         if key in self.active:
             return True, None, self.active[key]
-        mkey = (m1, w1, m2, w2, visited)
+        mkey = (key, visited)
         hit = self.memo.get(mkey)
         if hit is not None:
             return hit[0], hit[1], _FREE

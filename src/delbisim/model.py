@@ -51,16 +51,10 @@ class KripkeModel:
         propositions: Iterable[str] = (),
         valuation: Mapping[str, Iterable[str]] | None = None,
     ) -> "KripkeModel":
-        edge_list = [tuple(e) for e in edges]
-        seen: set[Edge] = set()
-        for e in edge_list:
-            if e in seen:
-                raise ModelError(f"edges: duplicate edge {e!r}")
-            seen.add(e)
         val = valuation or {}
         model = cls(
             worlds=tuple(sorted(set(worlds))),
-            edges=tuple(sorted(edge_list)),
+            edges=tuple(sorted(tuple(e) for e in edges)),
             propositions=tuple(sorted(set(propositions))),
             valuation=tuple(
                 (p, tuple(sorted(set(ws)))) for p, ws in sorted(val.items())
@@ -76,6 +70,12 @@ class KripkeModel:
         out = []
         if not self.worlds:
             out.append("worlds: must be non-empty")
+        for name, items in (("world", self.worlds), ("edge", self.edges)):
+            seen = set()
+            for x in items:
+                if x in seen:
+                    out.append(f"{name}s: duplicate {name} {x!r}")
+                seen.add(x)
         declared = set(self.worlds)
         for u, v in self.edges:
             if u not in declared:

@@ -1,4 +1,6 @@
 import json
+import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +16,7 @@ from delbisim import (
     save_model,
     validate,
 )
+from delbisim.model import EDGE, POINT
 
 LOOP_JSON = '{"worlds":["w"],"edges":[["w","w"]],"propositions":["p"],"valuation":{"p":["w"]},"point":"w"}'
 
@@ -137,6 +140,46 @@ def test_validate_reports_point_and_valuation():
     problems = validate(raw)
     assert any("point" in p for p in problems)
     assert any("undeclared proposition 'q'" in p for p in problems)
+
+
+def test_validate_and_make_reject_repeated_edges_and_worlds():
+    # The raw constructor keeps repeats; a repeated edge would count twice
+    # at the count gate, and one delete_edge would remove both copies.
+    for model, problem in (
+        (KripkeModel(("a",), (("a", "a"), ("a", "a")), (), ()),
+         "edges: duplicate edge ('a', 'a')"),
+        (KripkeModel(("a", "a"), (), (), ()), "worlds: duplicate world 'a'"),
+    ):
+        assert validate(PointedModel(model, "a")) == [problem]
+        with pytest.raises(ModelError, match=re.escape(problem)):
+            PointedModel.make(model, "a")
+    # make refuses a repeated edge but merges repeated worlds and propositions
+    with pytest.raises(ModelError, match=re.escape("edges: duplicate edge ('a', 'a')")):
+        KripkeModel.make(["a"], [("a", "a"), ["a", "a"]])
+    merged = KripkeModel.make(["a", "a"], [("a", "a")], ["p", "p"])
+    assert (merged.worlds, merged.propositions) == (("a",), ("p",))
+
+
+@pytest.mark.parametrize("domain, delete", [(EDGE, delete_edge), (POINT, delete_point)],
+                         ids=["edge", "point"])
+def test_a_deletion_set_gives_one_submodel_whatever_the_order(domain, delete):
+    # The recursive checker keys a side by its remaining items.  That is exact
+    # if deleting one set of items gives one model in every order, whose
+    # items are the root's minus that set, in the root's order.
+    rng = random.Random(0)
+    for seed in range(300):
+        root = random_model(seed, 4, 6, ("p", "q")).model
+        every = domain.every(root)
+        # a point model keeps at least one world
+        gone = rng.sample(every, rng.randint(0, len(every) - (domain is POINT)))
+        results = set()
+        for order in (gone, gone[::-1], rng.sample(gone, len(gone))):
+            m = root
+            for item in order:
+                m = delete(m, item)
+            results.add(m)
+        assert len(results) == 1, seed
+        assert domain.every(results.pop()) == tuple(i for i in every if i not in gone), seed
 
 
 def test_validate_ok_on_wellformed(loop):
