@@ -8,6 +8,7 @@ error or any unexpected error, 3 size guard exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -163,6 +164,7 @@ def _cmd_translate_report(args) -> int:
     return EXIT_YES
 
 
+@functools.cache  # built on the first call, not at import; parsing leaves it as it is
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delbisim",

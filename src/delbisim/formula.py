@@ -6,8 +6,10 @@ point removal (``rem``/``rbox``) and guarded point removal (``rem{psi}``).
 Box-family operators are primitive, not abbreviations, so printed formulas
 keep their dual shape.
 
-A modal node has zero or more guard fields and then its body; ``_KEYWORD``
-maps each modal node class to its keyword for the printer and the parser.
+Node classes of one field layout subclass one frozen dataclass for it;
+dataclass equality compares the class, so ``Dia(p) != Box(p)``.  A modal
+node has zero or more guard fields and then its body; ``_KEYWORD`` maps each
+modal node class to its keyword for the printer and the parser.
 
 Grammar (binary operators always need explicit parentheses)::
 
@@ -35,12 +37,7 @@ class Formula:
 
 
 @dataclass(frozen=True)
-class Top(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class Bot(Formula):
+class _Nullary(Formula):
     pass
 
 
@@ -50,90 +47,91 @@ class Atom(Formula):
 
 
 @dataclass(frozen=True)
-class Not(Formula):
+class _Unary(Formula):
     body: Formula
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class _Binary(Formula):
     left: Formula
     right: Formula
 
 
 @dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Imp(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Dia(Formula):
+class _PointGuarded(Formula):
+    guard: Formula
     body: Formula
 
 
 @dataclass(frozen=True)
-class Box(Formula):
+class _EdgeGuarded(Formula):
+    source: Formula
+    target: Formula
     body: Formula
 
 
-@dataclass(frozen=True)
-class Sab(Formula):
+class Top(_Nullary):
+    pass
+
+
+class Bot(_Nullary):
+    pass
+
+
+class Not(_Unary):
+    pass
+
+
+class And(_Binary):
+    pass
+
+
+class Or(_Binary):
+    pass
+
+
+class Imp(_Binary):
+    pass
+
+
+class Dia(_Unary):
+    pass
+
+
+class Box(_Unary):
+    pass
+
+
+class Sab(_Unary):
     """Some edge can be deleted so that the body holds at the same point."""
 
-    body: Formula
+
+class SabBox(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class SabBox(Formula):
-    body: Formula
-
-
-@dataclass(frozen=True)
-class GSab(Formula):
+class GSab(_EdgeGuarded):
     """Edge deletion guarded by formulas at the edge's source and target."""
 
-    source: Formula
-    target: Formula
-    body: Formula
+
+class GSabBox(_EdgeGuarded):
+    pass
 
 
-@dataclass(frozen=True)
-class GSabBox(Formula):
-    source: Formula
-    target: Formula
-    body: Formula
-
-
-@dataclass(frozen=True)
-class Rem(Formula):
+class Rem(_Unary):
     """Some world other than the current one can be removed."""
 
-    body: Formula
+
+class RemBox(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class RemBox(Formula):
-    body: Formula
-
-
-@dataclass(frozen=True)
-class GRem(Formula):
+class GRem(_PointGuarded):
     """Point removal guarded by a formula at the removed world."""
 
-    guard: Formula
-    body: Formula
 
-
-@dataclass(frozen=True)
-class GRemBox(Formula):
-    guard: Formula
-    body: Formula
+class GRemBox(_PointGuarded):
+    pass
 
 
 # Modal node class -> keyword; a guarded class shares its twin's keyword.
@@ -217,7 +215,7 @@ def format_formula(f: Formula) -> str:
         if type(g) in _CONSTANT_TEXT:
             texts.append(_CONSTANT_TEXT[type(g)])
         elif isinstance(g, Atom):
-            if not _IDENT.fullmatch(g.name) or g.name in _CONSTANT or g.name in _GUARDS:
+            if not _is_atom_name(g.name):
                 raise ValueError(f"atom {g.name!r} would not parse back as an atom")
             texts.append(g.name)
         elif isinstance(g, Not):
@@ -231,6 +229,11 @@ def format_formula(f: Formula) -> str:
         else:
             raise TypeError(f"not a formula node: {g!r}")
     return texts[0]
+
+
+def _is_atom_name(name: str) -> bool:
+    """Whether ``name`` parses back as an atom: an identifier, no constant, no keyword."""
+    return bool(_IDENT.fullmatch(name)) and name not in _CONSTANT and name not in _GUARDS
 
 
 # --- parser ----------------------------------------------------------------
@@ -281,17 +284,12 @@ class _Parser:
         return tok
 
     def formula(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            self.error("unexpected end of input")
+        tok = self.take()
         if tok in _CONSTANT:
-            self.take()
             return _CONSTANT[tok]()
         if tok == "~":
-            self.take()
             return Not(self.formula())
         if tok == "(":
-            self.take()
             left = self.formula()
             op = self.take()
             if op not in _BINOP:
@@ -301,19 +299,16 @@ class _Parser:
             self.take(")")
             return _BINOP[op](left, right)
         if tok in _GUARDS:
-            self.take()
             guards = []
             if _GUARDS[tok] and self.peek() == "{":
-                self.take("{")
-                guards.append(self.formula())
-                while len(guards) < _GUARDS[tok]:
-                    self.take("|")
+                for i in range(_GUARDS[tok]):
+                    self.take("|" if i else "{")
                     guards.append(self.formula())
                 self.take("}")
             return _MODAL[tok, len(guards)](*guards, self.formula())
         if _IDENT.fullmatch(tok):
-            self.take()
             return Atom(tok)
+        self.pos -= 1
         self.error(f"unknown token {tok!r}")
 
 
@@ -339,14 +334,15 @@ def random_formula(
 ) -> Formula:
     """A deterministic random formula inside the fragment, depth-bounded.
 
-    Never emits reserved ``@`` atoms.
+    Never emits reserved ``@`` atoms: a pool name that is reserved or no atom is a ``ValueError``.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     if not prop_pool:
         raise ValueError("prop_pool must be non-empty")
-    rng = random.Random(seed)
-    return _gen(rng, fragment, max_depth, tuple(prop_pool))
+    if any(not _is_atom_name(name) or name.startswith("@") for name in prop_pool):
+        raise ValueError(f"prop_pool must hold unreserved atom names, got {prop_pool!r}")
+    return _gen(random.Random(seed), fragment, max_depth, tuple(prop_pool))
 
 
 def _gen(rng: random.Random, fragment: LanguageFragment, budget: int, pool) -> Formula:

@@ -60,6 +60,13 @@ def test_check_oracle_and_stats(capsys, model_file, cycle_file):
     assert "max_depth" in doc and "calls" in doc
 
 
+def test_flags_do_not_carry_over_between_main_calls(capsys, model_file):
+    # One parser serves every call; each parse starts from the defaults.
+    _, with_stats, _ = run(capsys, "check", "--kind", "s", "--stats", model_file, model_file)
+    _, without, _ = run(capsys, "check", "--kind", "s", model_file, model_file)
+    assert "calls" in json.loads(with_stats) and "calls" not in json.loads(without)
+
+
 def test_check_oracle_refuses_past_its_guard_before_checking(capsys, monkeypatch, tmp_path):
     # The recursive s checker runs for minutes on a directed 6-cycle, which
     # the oracle refuses at once; a checker call here ends in exit 2.

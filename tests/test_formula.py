@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +20,7 @@ from delbisim.formula import (
     modal_depth,
     walk,
 )
+from delbisim.formula import Box, GRemBox, GSabBox, Imp, Or, Rem, SabBox
 
 FRAGMENTS = list(LanguageFragment)
 
@@ -158,6 +162,44 @@ def test_random_formula_validates_arguments():
         random_formula(0, LanguageFragment.MODAL, 0, ("p",))
     with pytest.raises(ValueError):
         random_formula(0, LanguageFragment.MODAL, 2, ())
+
+
+@pytest.mark.parametrize("name", ["@x", "@w0", "dia", "rbox", "true", "false", "p q", "1p", ""])
+def test_random_formula_refuses_pool_names_that_are_reserved_or_no_atom(name):
+    # Before, "@x" came out as ~(@x -> @x) and "dia" failed only when printed.
+    with pytest.raises(ValueError):
+        random_formula(3, LanguageFragment.MODAL, 3, ("p", name))
+
+
+def test_random_formula_accepts_any_unreserved_atom_name():
+    f = random_formula(3, LanguageFragment.MODAL, 3, ("p_1", "x@", "_"))
+    assert parse_formula(format_formula(f)) == f
+
+
+# Node classes that share one field layout, with the fields each declares.
+NODE_SHAPES = [
+    ((Top, Bot), ()),
+    ((Not, Dia, Box, Sab, SabBox, Rem, RemBox), ("body",)),
+    ((And, Or, Imp), ("left", "right")),
+    ((GRem, GRemBox), ("guard", "body")),
+    ((GSab, GSabBox), ("source", "target", "body")),
+]
+
+
+def test_node_classes_of_one_shape_stay_distinct():
+    for classes, names in NODE_SHAPES:
+        args = [Atom(f"p{i}") for i in range(len(names))]
+        for cls in classes:
+            node = cls(*args)
+            assert [x.name for x in dataclasses.fields(cls)] == list(names)
+            assert repr(node).startswith(cls.__name__ + "(")
+            assert node == cls(*args) and hash(node) == hash(cls(*args))
+            for name in names:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(node, name, Atom("q"))
+        for a, b in itertools.combinations(classes, 2):
+            assert a(*args) != b(*args) and b(*args) != a(*args)
+            assert repr(a(*args)) != repr(b(*args))
 
 
 @pytest.mark.parametrize("prefix, suffix", [
