@@ -160,7 +160,7 @@ class _Checker:
                            "at": [w1, w2], "path": None}, _FREE
 
         ok, wit, low = self._zigzag(m1, w1, m2, w2, items1, items2, None, depth)
-        if ok and (w1, w2) not in visited:
+        if ok:
             ok, wit, low2 = self._zigzag(m1, w1, m2, w2, m1.successors(w1),
                                          m2.successors(w2),
                                          visited | {(w1, w2)}, depth)
@@ -185,12 +185,7 @@ class _Checker:
                         ok, cause, low2 = self._match(m1, w1, m2, w2, c1, c2,
                                                       depth)
                     elif (c1, c2) in grown:
-                        # Membership is tested against the grown list: a
-                        # candidate equal to the current pair would only
-                        # re-verify the deletion conditions this call just
-                        # established and then skip its own modal section,
-                        # so skipping it here returns the same answer
-                        # without the redundant descent.
+                        # visited since the last deletion, this pair included: matched
                         break
                     else:
                         ok, wit, low2 = self._rec(m1, c1, m2, c2, grown,
@@ -332,13 +327,11 @@ def modal_bisimilar(a: PointedModel, b: PointedModel) -> Verdict:
             if item is not None:
                 break
         node.update(condition=f"{side}-dia", item=item, at=[x, y], cause=None)
-        # the first candidate's reason, if the rescan had recorded it by then
+        # the first candidate's reason: that pair fell in an earlier round
         if inner:
-            first = pair(item, inner[0])
-            fell_first = fell(*first)
-            if (fell_first, first) < (r, (x, y)):
-                node["cause"] = {}
-                r, (x, y) = fell_first, first
+            node["cause"] = {}
+            x, y = pair(item, inner[0])
+            r = fell(x, y)
         node = node["cause"]
     return Verdict(witness is None, 0, calls, witness)
 

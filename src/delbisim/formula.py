@@ -29,11 +29,18 @@ from __future__ import annotations
 import enum
 import random
 import re
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 
 
 class Formula:
     """Base class of all AST nodes."""
+
+    # A frozen dataclass refuses only its own fields on a subclass instance.
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,11 @@ def test_build_char_guards():
         build_char("d", PointedModel.make(wide, "a"))
 
 
+def test_build_char_refuses_a_kind_without_deletions(loop):
+    with pytest.raises(ValueError, match="no characteristic formula for kind 'modal'"):
+        build_char("modal", loop)
+
+
 def test_big_and_empty_is_top():
     assert big_and([]) == Top()
     assert big_or([]) == parse_formula("false")

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -197,6 +198,23 @@ def test_sweep_summary(capsys):
     assert summary["mismatches"] == 0
     assert len(lines) == 5 * 2 + 1
     assert all(line["match"] for line in lines[:-1])
+
+
+def test_sweep_prints_the_models_of_each_mismatch(capsys, monkeypatch):
+    def inverted(kind, a, b):
+        verdict = oracle_bisimilar(kind, a, b)
+        return dataclasses.replace(verdict, answer=not verdict.answer)
+
+    monkeypatch.setattr("delbisim.cli.oracle_bisimilar", inverted)
+    code, out, _ = run(capsys, "sweep", "--kinds", "s,d", "--seed", "7", "--count", "3")
+    assert code == 1
+    *lines, summary = [json.loads(line) for line in out.strip().splitlines()]
+    assert summary["mismatches"] == len(lines) == 3 * 2
+    for line in lines:
+        assert not line["match"]
+        index = line["pair"]
+        assert line["a"] == save_model(random_model(7 + 2 * index, 3, 4, ("p",)))
+        assert line["b"] == save_model(random_model(7 + 2 * index + 1, 3, 4, ("p",)))
 
 
 def test_sweep_always_uses_the_checker_memo(capsys):

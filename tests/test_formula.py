@@ -85,6 +85,12 @@ def test_parse_requires_parens_for_binary():
         parse_formula("p & q")
 
 
+def test_parse_names_a_missing_binary_operator():
+    with pytest.raises(ParseError, match="expected a binary operator, found 'q'") as err:
+        parse_formula("(p q)")
+    assert (err.value.line, err.value.column) == (1, 4)
+
+
 def test_parse_rejects_double_operator():
     with pytest.raises(ParseError, match="unknown token"):
         parse_formula("(p & & q)")
@@ -197,6 +203,10 @@ def test_node_classes_of_one_shape_stay_distinct():
             for name in names:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(node, name, Atom("q"))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                node.extra = 1
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del node.extra
         for a, b in itertools.combinations(classes, 2):
             assert a(*args) != b(*args) and b(*args) != a(*args)
             assert repr(a(*args)) != repr(b(*args))

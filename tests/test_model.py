@@ -129,6 +129,16 @@ def test_load_rejects_bad_json():
         load_model("{nope")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[]", "parse error: top level must be a JSON object"),
+    ('{"worlds":["w"],"edges":[],"propositions":["p"],"valuation":{"p":"a"},"point":"w"}',
+     "valuation: entry for 'p' must be an array of strings"),
+])
+def test_load_rejects_json_of_the_wrong_shape(text, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        load_model(text)
+
+
 def test_validate_reports_point_and_valuation():
     model = KripkeModel(
         worlds=("w",),

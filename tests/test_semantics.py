@@ -81,6 +81,11 @@ def test_undeclared_atom_raises(loop):
         evaluate(loop, parse_formula("nope"))
 
 
+def test_text_is_not_a_formula_node(loop):
+    with pytest.raises(TypeError, match="not a formula node"):
+        evaluate(loop, "p")
+
+
 def _random_pair(seed, fragment):
     pm = random_model(seed, 3, 4, ("p", "q"))
     f = random_formula(seed + 1, fragment, 3, ("p", "q"))
