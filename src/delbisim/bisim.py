@@ -3,7 +3,7 @@
 Kinds:
 
 * ``modal`` -- plain modal bisimilarity, computed as a greatest fixpoint.
-* ``s`` -- edge deletion: matched edge deletions restart the visited list.
+* ``s`` -- edge deletion: matched deletions of edges.
 * ``d`` -- point deletion: matched deletions of non-current worlds.
 * ``g`` -- as ``s`` but the matched edges' endpoints must themselves be
   bisimilar in the pre-deletion models.
@@ -16,22 +16,21 @@ to its domain; the checker here, the oracle and the characteristic formulas
 all read it.
 
 The recursive checker mirrors the pseudocode shape: a count gate (edges or
-worlds) runs first, deletion recursion always starts from an empty visited
-list, and modal recursion extends the visited list with the current pair
-and skips candidate pairs already in it.
+worlds) runs first, then the matched deletions, then the modal moves.
 
 A configuration on the call stack maps to its depth, and a re-entry answers
-yes, the usual coinductive discharge (checked against the fixpoint oracle).
-Only ``g``/``r`` re-enter, through endpoint side-checks on the *same*
-submodels with an empty visited list; ``s``/``d`` never do, as a modal move
-skips every pair moved from since the last deletion; deletions shrink models.
-The stack map and the memo key each side by its remaining items (the
-domain's ``every``), which fix its model: in one run, each model on a side
-is its root minus items of one domain, whichever ``filtered_check`` lets
-go; an edge submodel keeps the root's worlds and valuation, and a point
-submodel the root's edges and valuation among the worlds left.  As in
-Tarjan's low-link, a call returns the least depth its answer assumed and
-memoises only an answer that assumed none shallower than itself.
+yes: the one coinductive rule (checked against the fixpoint oracle).  A
+modal move back to a pair on the current line of play re-enters, and so
+does a ``g``/``r`` endpoint side-check on the same submodels; deletions
+shrink models, so they never re-enter.  The stack map and the memo key
+each side by its remaining items (the domain's ``every``), which fix its
+model: in one run, each model on a side is its root minus items of one
+domain, whichever ``filtered_check`` lets go; an edge submodel keeps the
+root's worlds and valuation, and a point submodel the root's edges and
+valuation among the worlds left.  As in Tarjan's low-link, a call returns
+the least depth its answer assumed and memoises only an answer that
+assumed none shallower than itself, so a memoised answer holds on every
+line of play that reaches its configuration.
 """
 
 from __future__ import annotations
@@ -117,11 +116,10 @@ class _Checker:
         # deletions never change the proposition set, so the atom-check
         # domain is fixed for the whole run
         self.props = sorted(set(a.model.propositions) | set(b.model.propositions))
-        ok, wit, _ = self._rec(a.model, a.point, b.model, b.point,
-                               frozenset(), 0)
+        ok, wit, _ = self._rec(a.model, a.point, b.model, b.point, 0)
         return Verdict(ok, self.max_depth, self.calls, _with_paths(wit))
 
-    def _rec(self, m1, w1, m2, w2, visited, depth):
+    def _rec(self, m1, w1, m2, w2, depth):
         """``(ok, witness, low)``: ``low`` is the least depth of a stack
         configuration the answer assumed, else ``_FREE``; an answer that
         assumed none shallower than ``depth`` is memoised."""
@@ -131,19 +129,18 @@ class _Checker:
         key = (self.domain.every(m1), w1, self.domain.every(m2), w2)
         if key in self.active:
             return True, None, self.active[key]
-        mkey = (key, visited)
-        hit = self.memo.get(mkey)
+        hit = self.memo.get(key)
         if hit is not None:
             return hit[0], hit[1], _FREE
         self.active[key] = depth
-        ok, wit, low = self._body(m1, w1, m2, w2, visited, depth)
+        ok, wit, low = self._body(m1, w1, m2, w2, depth)
         del self.active[key]
         if low < depth:
             return ok, wit, low
-        self.memo[mkey] = (ok, wit)
+        self.memo[key] = (ok, wit)
         return ok, wit, _FREE
 
-    def _body(self, m1, w1, m2, w2, visited, depth):
+    def _body(self, m1, w1, m2, w2, depth):
         # The gate counts deletable items.  Unrestricted, that decides as
         # whole-model counts would, and the witness prints those counts.
         items1, items2 = self.items(m1, w1), self.items(m2, w2)
@@ -159,20 +156,18 @@ class _Checker:
             return False, {"condition": "atom", "prop": bad,
                            "at": [w1, w2], "path": None}, _FREE
 
-        ok, wit, low = self._zigzag(m1, w1, m2, w2, items1, items2, None, depth)
+        ok, wit, low = self._zigzag(m1, w1, m2, w2, items1, items2, False, depth)
         if ok:
             ok, wit, low2 = self._zigzag(m1, w1, m2, w2, m1.successors(w1),
-                                         m2.successors(w2),
-                                         visited | {(w1, w2)}, depth)
+                                         m2.successors(w2), True, depth)
             low = min(low, low2)
         return ok, wit, low
 
-    def _zigzag(self, m1, w1, m2, w2, cands1, cands2, grown, depth):
+    def _zigzag(self, m1, w1, m2, w2, cands1, cands2, modal, depth):
         """Zig then zag: every candidate on one side is matched on the other.
 
-        The candidates are deletable items when ``grown`` is None, else the
-        successors of the current worlds, moved to with the grown visited
-        list.
+        The candidates are the successors of the current worlds when
+        ``modal``, else deletable items.
         """
         low = _FREE
         for forward in (True, False):
@@ -181,16 +176,12 @@ class _Checker:
                 first_cause = None
                 for c_in in inner:
                     c1, c2 = (c_out, c_in) if forward else (c_in, c_out)
-                    if grown is None:
+                    if modal:
+                        ok, wit, low2 = self._rec(m1, c1, m2, c2, depth + 1)
+                        cause = (["move", c1, c2], wit)
+                    else:
                         ok, cause, low2 = self._match(m1, w1, m2, w2, c1, c2,
                                                       depth)
-                    elif (c1, c2) in grown:
-                        # visited since the last deletion, this pair included: matched
-                        break
-                    else:
-                        ok, wit, low2 = self._rec(m1, c1, m2, c2, grown,
-                                                  depth + 1)
-                        cause = (["move", c1, c2], wit)
                     low = min(low, low2)
                     if ok:
                         break
@@ -198,10 +189,10 @@ class _Checker:
                         first_cause = cause
                 else:
                     side = "zig" if forward else "zag"
-                    if grown is None:
-                        cond, item = f"{side}-del", self.domain.show(c_out)
-                    else:
+                    if modal:
                         cond, item = f"{side}-dia", c_out
+                    else:
+                        cond, item = f"{side}-del", self.domain.show(c_out)
                     return False, {"condition": cond, "item": item,
                                    "at": [w1, w2], "path": None,
                                    "cause": first_cause}, low
@@ -212,12 +203,12 @@ class _Checker:
         low = _FREE
         if self.ends is not None:
             for u1, u2 in zip(self.ends(i1), self.ends(i2)):
-                ok, wit, low2 = self._rec(m1, u1, m2, u2, frozenset(), depth + 1)
+                ok, wit, low2 = self._rec(m1, u1, m2, u2, depth + 1)
                 low = min(low, low2)
                 if not ok:
                     return False, (["endpoint", u1, u2], wit), low
         ok, wit, low2 = self._rec(self.delete(m1, i1), w1, self.delete(m2, i2),
-                                  w2, frozenset(), depth + 1)
+                                  w2, depth + 1)
         step = ["del", self.domain.show(i1), self.domain.show(i2)]
         return ok, (step, wit), min(low, low2)
 
@@ -352,6 +343,8 @@ def filtered_check(kind: str, a: PointedModel, b: PointedModel, prop: str) -> Ve
     The count gate then compares deletable items instead of raw sizes.
     Used by the translation correspondence experiments.
     """
+    if kind == "modal":
+        raise ValueError("no deletions to restrict for kind 'modal'")
     return _Checker(kind, prop=prop).run(a, b)
 
 

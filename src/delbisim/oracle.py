@@ -39,6 +39,10 @@ def guard_size(what: str, pms, max_worlds: int, max_edges: int) -> None:
 def oracle_bisimilar(kind: str, a: PointedModel, b: PointedModel,
                      max_worlds: int = DEFAULT_MAX_WORLDS,
                      max_edges: int = DEFAULT_MAX_EDGES) -> Verdict:
+    """The greatest fixpoint's answer for ``kind``, with no line of play: no
+    call stack or re-entry rule, so it tests the checker's coinductive rule
+    and memo.  ``calls`` counts pair checks; there is no
+    depth or witness.  Past the size guard it raises ``SizeGuardError``."""
     if kind not in KINDS:
         raise ValueError(f"unknown bisimilarity kind {kind!r}")
     guard_size("oracle", (a, b), max_worlds, max_edges)

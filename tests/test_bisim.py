@@ -381,12 +381,84 @@ def test_verdicts_do_not_depend_on_which_objects_the_models_are():
         for kind in RECURSIVE:
             assert check(kind, a, b).to_json() == check(kind, a, copy(b)).to_json(), (seed, kind)
             assert check(kind, a, a).to_json() == check(kind, a, copy(a)).to_json(), (seed, kind)
-    # The C4 identity pair's counts; CI pins g (762,057 calls, depth 16),
+    # The C4 identity pair's counts; CI pins g (754,005 calls, depth 16),
     # which is too slow for this suite.
     c4 = _cycle(4, "w", [0], 0)
-    for kind, calls, depth in (("s", 1938, 8), ("d", 439, 7), ("r", 11673, 12)):
+    for kind, calls, depth in (("s", 1728, 7), ("d", 491, 6), ("r", 11481, 12)):
         verdict = check(kind, c4, c4)
         assert (verdict.answer, verdict.calls, verdict.max_depth) == (True, calls, depth), kind
+
+
+def _census():
+    """Every pointed model with at most 2 worlds and the one proposition p."""
+    out = []
+    for ws in (["w0"], ["w0", "w1"]):
+        pairs = [(u, v) for u in ws for v in ws]
+        for mask in range(1 << len(pairs)):
+            for marks in range(1 << len(ws)):
+                model = KripkeModel.make(
+                    ws, [e for i, e in enumerate(pairs) if mask >> i & 1], ["p"],
+                    {"p": [w for i, w in enumerate(ws) if marks >> i & 1]})
+                out += [PointedModel.make(model, w) for w in ws]
+    return out
+
+
+def test_two_world_census_against_oracle():
+    # Every ordered pair of the census that is modally bisimilar, under each
+    # kind with equal item counts; g only up to 2 edges, as larger g
+    # searches are slow.  Every answer agrees with the oracle.
+    models = _census()
+    assert len(models) == 132
+    pairs = [(a, b) for a in models for b in models if modal_bisimilar(a, b).answer]
+    assert len(pairs) == 2340
+    yes, tried = {}, {}
+    for kind in RECURSIVE:
+        every = bisim.DOMAINS[kind].every
+        todo = [(a, b) for a, b in pairs
+                if len(every(a.model)) == len(every(b.model))
+                and (kind != "g" or len(a.model.edges) <= 2)]
+        tried[kind] = len(todo)
+        yes[kind] = set()
+        for a, b in todo:
+            answer = check(kind, a, b).answer
+            assert answer == oracle_bisimilar(kind, a, b).answer, (kind, a, b)
+            if answer:
+                yes[kind].add((a, b))
+    assert tried == {"s": 836, "d": 2164, "g": 596, "r": 2164}
+    assert yes["g"] <= yes["s"] and yes["r"] <= yes["d"]
+    assert {kind: len(yes[kind]) for kind in ("s", "d", "r")} == {"s": 548, "d": 1428, "r": 356}
+
+
+def _submodel(root, domain, remaining):
+    """``root`` keeping only the ``remaining`` items of ``domain``: an edge
+    submodel keeps every world and the valuation, a point submodel the
+    edges and valuation among the remaining worlds."""
+    if domain is bisim.DOMAINS["s"]:
+        return KripkeModel.make(root.worlds, remaining, root.propositions,
+                                dict(root.valuation))
+    return KripkeModel.make(remaining, [e for e in root.edges if set(e) <= set(remaining)],
+                            root.propositions,
+                            {p: [w for w in ws if w in remaining] for p, ws in root.valuation})
+
+
+def test_every_memo_entry_is_the_oracle_answer_for_its_key():
+    # The memo is keyed by each side's remaining items and the current
+    # worlds, with nothing about the line of play that reached it; so every
+    # entry must be the true answer for the configuration that key names.
+    entries = 0
+    for seed in range(200):
+        a = random_model(seed, 3, 3)
+        for b in (a, random_model(seed + 7919, 3, 3)):
+            for kind in RECURSIVE if seed % 4 == 0 else ("s", "d", "r"):
+                checker = bisim._Checker(kind)
+                checker.run(a, b)
+                domain = checker.domain
+                for (left, w1, right, w2), (answer, _) in checker.memo.items():
+                    x = PointedModel(_submodel(a.model, domain, left), w1)
+                    y = PointedModel(_submodel(b.model, domain, right), w2)
+                    assert answer == oracle_bisimilar(kind, x, y).answer, (seed, kind, left, right)
+                entries += len(checker.memo)
+    assert entries > 5000  # not vacuous
 
 
 def _everywhere(pm, prop):
@@ -437,6 +509,9 @@ def test_oracle_borrows_only_tables_from_the_checker():
 def test_unknown_kind_rejected(loop):
     with pytest.raises(ValueError):
         check("x", loop, loop)
+    # modal is a known kind, but it has no deletions to restrict
+    with pytest.raises(ValueError, match="no deletions to restrict for kind 'modal'"):
+        bisim.filtered_check("modal", loop, loop, "p")
     # a validation error, not a refusal by the oracle's size guard
     for pm in (loop, _cycle(7, "w", [0], 0)):
         with pytest.raises(ValueError):
